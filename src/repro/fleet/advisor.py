@@ -51,10 +51,12 @@ from ..parallel.backends import (
     BackendSpec,
     SolveTask,
     SolverBackend,
+    TaskHandle,
     resolve_backend,
 )
 from ..telemetry.instruments import PLACEMENT_PROBES, PROBE_LATENCY
 from ..telemetry.trace import get_tracer
+from .bnb import symmetry_classes
 from .problem import FleetProblem, Machine, Placement
 from .report import FleetReport, MachineReport
 from .solve_memo import DEFAULT_SOLVE_MEMO_SIZE, Infeasible, SolveMemo
@@ -101,6 +103,46 @@ def _placement_provenance(strategy: Any) -> Optional[Dict[str, Any]]:
     return to_dict()
 
 
+def _intern(keys: Iterable[Any]) -> List[int]:
+    """Dense small ids for hashable keys; equal keys share one id."""
+    ids: Dict[Any, int] = {}
+    return [ids.setdefault(key, len(ids)) for key in keys]
+
+
+class _Priced:
+    """An already-resolved probe handle: a run-table hit."""
+
+    __slots__ = ("_cost",)
+
+    def __init__(self, cost: float) -> None:
+        self._cost = cost
+
+    def result(self) -> float:
+        return self._cost
+
+
+class _Tabling:
+    """A missed probe's handle: records the price in the run table on collect.
+
+    ``result()`` always runs in the thread driving the placement, so the
+    run table is never written from a backend worker.
+    """
+
+    __slots__ = ("_handle", "_table", "_tenants")
+
+    def __init__(
+        self, handle: Any, table: Dict[Tuple[int, ...], float], tenants: Tuple[int, ...]
+    ) -> None:
+        self._handle = handle
+        self._table = table
+        self._tenants = tenants
+
+    def result(self) -> float:
+        cost = self._handle.result()
+        self._table[self._tenants] = cost
+        return cost
+
+
 class _FleetSolver:
     """Prices candidate co-locations for one fleet problem.
 
@@ -110,6 +152,19 @@ class _FleetSolver:
     return the *same* problem object and hit the inner advisor's caches),
     solves them with the shared :class:`~repro.api.Advisor`, and keeps the
     aggregated cost-call statistics of everything the run asked for.
+
+    Pricing goes run table → solve-memo → advisor.  The solver is one
+    object per placement run, and within a run a probe's price depends
+    only on the machine's hardware shape and the tenant set, so
+    :meth:`machine_cost`, :meth:`machine_costs` and :meth:`submit_probe`
+    first look in a plain per-shape dict (``+inf`` records an infeasible
+    co-location); :meth:`fits` verdicts are tabled the same way per
+    symmetry class (hardware shape and tenant cap).  Only misses become
+    backend tasks, which run the uncached pricing body and so never write
+    the table.  Table hits are tallied in plain ints and folded once —
+    when :attr:`stats` is read and on :meth:`release` — into
+    ``placement_solve_hits``, the solve-memo's hit counter, and the probe
+    metrics, so every counter reads as if each hit had been a memo hit.
 
     Independent solves fan out through the run's
     :class:`~repro.parallel.backends.SolverBackend` (:meth:`machine_costs`
@@ -127,8 +182,28 @@ class _FleetSolver:
         self.fleet_advisor = fleet_advisor
         self.problem = problem
         self.backend = backend if backend is not None else resolve_backend(None)
-        self.stats = CostCallStats(evaluations=0, cache_hits=0, cache_misses=0)
+        self._stats = CostCallStats(evaluations=0, cache_hits=0, cache_misses=0)
         self._stats_lock = threading.Lock()
+        # The run table: prices per hardware shape, fits verdicts per
+        # symmetry class, each keyed by the tenant tuple as asked.
+        self._shape_of = _intern(machine.hardware_key for machine in problem.machines)
+        self._class_of = _intern(symmetry_classes(problem))
+        self._prices: List[Dict[Tuple[int, ...], float]] = [
+            {} for _ in set(self._shape_of)
+        ]
+        self._fits: List[Dict[Tuple[int, ...], bool]] = [
+            {} for _ in set(self._class_of)
+        ]
+        #: Probes this run answered from the table, and misses it sent on.
+        self.table_hits = 0
+        self.solves = 0
+        # Table hits not yet folded into the shared counters.
+        self._unfolded_hits = 0
+        self._unfolded_infeasible = 0
+        self._unfolded_seconds = 0.0
+        # Worker processes keep their own memo and metrics; only the cost
+        # statistics of a process-backend run are the parent's to fold.
+        self._in_process = not getattr(self.backend, "requires_portable_tasks", False)
         #: Shared pieces of the process-backend task payloads, built on
         #: first use (they require a fully *portable* advisor config).
         self._portable_base: Optional[Dict[str, Any]] = None
@@ -155,7 +230,13 @@ class _FleetSolver:
     # ------------------------------------------------------------------
     def fits(self, machine_index: int, tenant_indices: Tuple[int, ...]) -> bool:
         """Capacity check, including the minimum-share tenant bound."""
-        return self.problem.fits(machine_index, tenant_indices, self.max_tenants)
+        table = self._fits[self._class_of[machine_index]]
+        verdict = table.get(tenant_indices)
+        if verdict is None:
+            verdict = table[tenant_indices] = self.problem.fits(
+                machine_index, tenant_indices, self.max_tenants
+            )
+        return verdict
 
     def machine_cost(
         self, machine_index: int, tenant_indices: Tuple[int, ...]
@@ -168,14 +249,14 @@ class _FleetSolver:
         the placement actually commits to may raise.
         """
         started = time.perf_counter()
-        try:
-            report, weighted = self.solve(machine_index, tenant_indices)
-        except OptimizationError:
-            return math.inf
-        finally:
-            PROBE_LATENCY.observe(time.perf_counter() - started)
-            PLACEMENT_PROBES.inc()
-        return weighted
+        table = self._prices[self._shape_of[machine_index]]
+        cost = table.get(tenant_indices)
+        if cost is None:
+            self.solves += 1
+            cost = table[tenant_indices] = self._price(machine_index, tenant_indices)
+        else:
+            self._count_hits(1, cost == math.inf, time.perf_counter() - started)
+        return cost
 
     def machine_costs(
         self, candidates: Sequence[Tuple[int, Tuple[int, ...]]]
@@ -183,15 +264,45 @@ class _FleetSolver:
         """Price several candidate co-locations, fanned out on the backend.
 
         ``candidates`` is a sequence of ``(machine_index, tenant_indices)``
-        pairs; the returned costs align with it.  On the serial backend
-        this is exactly a loop of :meth:`machine_cost` calls, so answers
-        (and tie-breaks downstream) are identical across backends.
+        pairs; the returned costs align with it.  Only the distinct table
+        misses go to the backend, in candidate order, so on the serial
+        backend this prices exactly what a loop of :meth:`machine_cost`
+        calls would, and answers (and tie-breaks downstream) are identical
+        across backends.
         """
-        tasks = [
-            self._task(machine_index, tenant_indices, probe=True)
+        started = time.perf_counter()
+        shape_of, prices = self._shape_of, self._prices
+        costs = [
+            prices[shape_of[machine_index]].get(tenant_indices)
             for machine_index, tenant_indices in candidates
         ]
-        return self.backend.run(tasks)
+        misses: Dict[Tuple[int, Tuple[int, ...]], int] = {}
+        if None in costs:
+            for (machine_index, tenant_indices), cost in zip(candidates, costs):
+                if cost is None:
+                    misses.setdefault(
+                        (shape_of[machine_index], tenant_indices), machine_index
+                    )
+            seconds = time.perf_counter() - started
+            priced = self.backend.run([
+                self._task(machine_index, tenant_indices, probe=True)
+                for (_shape, tenant_indices), machine_index in misses.items()
+            ])
+            for (shape, tenant_indices), cost in zip(misses, priced):
+                prices[shape][tenant_indices] = cost
+            self.solves += len(misses)
+            costs = [
+                prices[shape_of[machine_index]][tenant_indices]
+                for machine_index, tenant_indices in candidates
+            ]
+            infeasible = costs.count(math.inf) - priced.count(math.inf)
+        else:
+            seconds = time.perf_counter() - started
+            infeasible = costs.count(math.inf)
+        hits = len(costs) - len(misses)
+        if hits:
+            self._count_hits(hits, infeasible, seconds)
+        return costs
 
     def submit_probe(self, machine_index: int, tenant_indices: Tuple[int, ...]):
         """Enqueue one probe now; collect its cost from the handle later.
@@ -199,18 +310,67 @@ class _FleetSolver:
         The primitive behind speculative pipelined probing (see
         :func:`~repro.fleet.strategies.greedy_assign`): probes for future
         decision rounds keep the backend's pool saturated while the caller
-        blocks only on the current round.  On backends without ``submit``
-        (and on the serial backend, whose ``submit`` is deliberately lazy)
-        the returned handle computes on first ``result()`` call, so
-        speculation never costs more than the non-speculative path.
+        blocks only on the current round.  A run-table hit returns an
+        already-resolved handle.  On backends without ``submit`` (and on
+        the serial backend, whose ``submit`` is deliberately lazy) a miss's
+        handle computes on first ``result()`` call, so speculation never
+        costs more than the non-speculative path.
         """
+        started = time.perf_counter()
+        table = self._prices[self._shape_of[machine_index]]
+        cost = table.get(tenant_indices)
+        if cost is not None:
+            self._count_hits(1, cost == math.inf, time.perf_counter() - started)
+            return _Priced(cost)
+        self.solves += 1
         task = self._task(machine_index, tenant_indices, probe=True)
         submit = getattr(self.backend, "submit", None)
-        if submit is None:
-            from ..parallel.backends import TaskHandle
+        handle = TaskHandle(task.call) if submit is None else submit(task)
+        return _Tabling(handle, table, tenant_indices)
 
-            return TaskHandle(task.call)
-        return submit(task)
+    # ------------------------------------------------------------------
+    # Run-table accounting
+    # ------------------------------------------------------------------
+    @property
+    def stats(self) -> CostCallStats:
+        """Cost-call statistics of everything this run asked for."""
+        self._fold_table_hits()
+        return self._stats
+
+    def _count_hits(self, hits: int, infeasible: int, seconds: float) -> None:
+        self.table_hits += hits
+        self._unfolded_hits += hits
+        self._unfolded_infeasible += infeasible
+        self._unfolded_seconds += seconds
+
+    def _fold_table_hits(self) -> None:
+        """Fold the pending table hits into the shared counters, once.
+
+        Each hit counts as the solve-memo hit it replaced: one
+        ``placement_solve_hits`` (none for an infeasible co-location,
+        whose memo hit raised instead), one memo hit, one placement probe,
+        and one probe-latency observation at the hits' measured mean time.
+        """
+        hits = self._unfolded_hits
+        if not hits:
+            return
+        feasible = hits - self._unfolded_infeasible
+        mean_seconds = self._unfolded_seconds / hits
+        self._unfolded_hits = self._unfolded_infeasible = 0
+        self._unfolded_seconds = 0.0
+        if feasible:
+            self._add_stats(
+                CostCallStats(
+                    evaluations=0,
+                    cache_hits=0,
+                    cache_misses=0,
+                    placement_solve_hits=feasible,
+                )
+            )
+        if self._in_process:
+            self.fleet_advisor.solve_memo.count_hits(hits)
+            PLACEMENT_PROBES.inc(hits)
+            PROBE_LATENCY.observe_many(mean_seconds, hits)
 
     # ------------------------------------------------------------------
     # Per-machine solves
@@ -255,7 +415,19 @@ class _FleetSolver:
     # ------------------------------------------------------------------
     def _add_stats(self, stats: CostCallStats) -> None:
         with self._stats_lock:
-            self.stats = self.stats + stats
+            self._stats = self._stats + stats
+
+    def _price(self, machine_index: int, tenant_indices: Tuple[int, ...]) -> float:
+        """The uncached pricing body of one probe (run by backend tasks)."""
+        started = time.perf_counter()
+        try:
+            _report, weighted = self.solve(machine_index, tenant_indices)
+        except OptimizationError:
+            return math.inf
+        finally:
+            PROBE_LATENCY.observe(time.perf_counter() - started)
+            PLACEMENT_PROBES.inc()
+        return weighted
 
     def _task(
         self, machine_index: int, tenant_indices: Tuple[int, ...], probe: bool
@@ -263,7 +435,7 @@ class _FleetSolver:
         """One solve/probe as a backend task (portable when it can be)."""
         machine_name = self.problem.machines[machine_index].name
         if probe:
-            call = lambda: self.machine_cost(machine_index, tenant_indices)  # noqa: E731
+            call = lambda: self._price(machine_index, tenant_indices)  # noqa: E731
             worker_fn: Any = _worker.probe_machine
             reassemble: Any = self._reassemble_probe
         else:
@@ -320,13 +492,14 @@ class _FleetSolver:
         return self._portable_base
 
     def release(self) -> None:
-        """Withdraw fork-published state once the run is over.
+        """Fold the last table hits and withdraw fork-published state.
 
         Workers that already forked keep their own memoized copy (keyed by
         the run token), so withdrawing only drops the parent-side pin that
         would otherwise keep the advisor and problem alive in
         :mod:`repro.parallel.worker` after the run.
         """
+        self._fold_table_hits()
         if self._portable_base is not None:
             _worker.withdraw_state(self._portable_base["token"])
 
@@ -692,8 +865,17 @@ class FleetAdvisor:
                 backend=getattr(run_backend, "name", type(run_backend).__name__),
                 jobs=run_backend.jobs,
             ) as root:
-                with get_tracer().span("placement.place", strategy=strategy_name):
-                    assignment = strategy.place(problem, solver)
+                with get_tracer().span(
+                    "placement.place", strategy=strategy_name
+                ) as place_span:
+                    try:
+                        assignment = strategy.place(problem, solver)
+                    finally:
+                        place_span.set_attributes(
+                            probes=solver.table_hits + solver.solves,
+                            table_hits=solver.table_hits,
+                            solves=solver.solves,
+                        )
                 placed = Placement(problem, assignment, strategy=strategy_name)
                 report = self._finalize(
                     problem,

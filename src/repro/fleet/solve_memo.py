@@ -22,6 +22,15 @@ dictionary lookup.  Infeasible co-locations (the enumerator raised
 error message, so repeatedly probing a QoS-blocked candidate never re-runs
 the search either.
 
+The memo is the *cross-run* layer.  Within one placement run, the run's
+solver keeps a plain per-run price table in front of it (see
+``repro.fleet.advisor._FleetSolver``), so pricing goes run table →
+solve-memo → advisor: a probe repeated inside a run never reaches the
+memo, and the memo serves the first ask of each (hardware, tenant set)
+in every later run.  The table folds its hits in once per run through
+:meth:`SolveMemo.count_hits`, so the memo's counters still count every
+repeat probe.
+
 The memo follows the fleet advisor's house rules for memoized state: a
 single lock guards every access (probes arrive concurrently from the
 thread/asyncio backends), it is LRU-bounded like the tenant/problem memos
@@ -103,6 +112,21 @@ class SolveMemo:
             return None
         MEMO_HITS.inc()
         return entry
+
+    def count_hits(self, n: int) -> None:
+        """Record ``n`` hits served by a layer above the memo.
+
+        A placement run's price table answers repeat probes before they
+        reach :meth:`get`; it folds them in here once per run, so
+        :attr:`hits`, ``/stats`` and the process-wide hit counter read as
+        if every one of those probes had been a memo hit.  Such hits do
+        not refresh any entry's LRU position.
+        """
+        if n <= 0:
+            return
+        with self._lock:
+            self._hits += n
+        MEMO_HITS.inc(n)
 
     def put(self, key: Hashable, value: Any) -> None:
         """Store a solve result (or :class:`Infeasible`), evicting LRU-first."""

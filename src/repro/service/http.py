@@ -219,6 +219,13 @@ class AdvisorRequestHandler(BaseHTTPRequestHandler):
         content_type: str,
         extra_headers: Tuple[Tuple[str, str], ...] = (),
     ) -> None:
+        # Count the request before its response leaves: a client that has
+        # read the response must also see it in ``/metrics``.
+        endpoint = getattr(self, "_endpoint", "other")
+        HTTP_REQUESTS_TOTAL.labels(endpoint=endpoint, status=str(status)).inc()
+        span = getattr(self, "_span", None)
+        if span is not None:
+            span.set_attribute("status", status)
         self.send_response(status)
         for name, value in extra_headers:
             self.send_header(name, value)
@@ -226,11 +233,6 @@ class AdvisorRequestHandler(BaseHTTPRequestHandler):
         self.send_header("Content-Length", str(len(body)))
         self.end_headers()
         self.wfile.write(body)
-        endpoint = getattr(self, "_endpoint", "other")
-        HTTP_REQUESTS_TOTAL.labels(endpoint=endpoint, status=str(status)).inc()
-        span = getattr(self, "_span", None)
-        if span is not None:
-            span.set_attribute("status", status)
 
     def _method_not_allowed(self, allowed: str) -> None:
         self._send_bytes(

@@ -10,10 +10,11 @@ names — whose labeled children hold the actual values::
     REQUESTS.labels(endpoint="fleet").inc()
 
 A family with no label names acts as its own single child (``inc`` /
-``set`` / ``observe`` directly on it).  All updates are lock-guarded per
-family, so concurrent solver threads produce exact totals; hot call
-sites bind their child once at import time (``labels()`` is memoized) so
-an update is one lock acquisition and one addition.
+``set`` / ``observe`` directly on it; the child is bound on first use).
+All updates are lock-guarded per family, so concurrent solver threads
+produce exact totals; hot call sites bind their child once at import
+time (``labels()`` is memoized) so an update is one lock acquisition and
+one addition.
 
 :func:`MetricsRegistry.render` emits the standard Prometheus text
 format (``text/plain; version=0.0.4``) with families and children in
@@ -232,6 +233,25 @@ class Histogram(_Child):
             self._sum += value
             self._count += 1
 
+    def observe_many(self, value: float, count: int) -> None:
+        """Record ``count`` observations of ``value`` under one lock.
+
+        Leaves the buckets and count exactly as ``count`` calls of
+        :meth:`observe` would, and the sum equal up to float rounding
+        (``value * count`` instead of ``count`` additions): the way a batch
+        of identical-latency events, such as a placement run's
+        table-served probes, is folded in once.
+        """
+        if count < 0:
+            raise TelemetryError(
+                f"histogram {self._family.name!r} cannot observe {count} times"
+            )
+        index = bisect_left(self._family.buckets, value)
+        with self._family._lock:
+            self._counts[index] += count
+            self._sum += value * count
+            self._count += count
+
     @property
     def count(self) -> int:
         with self._family._lock:
@@ -304,6 +324,9 @@ class _Family:
         self.buckets = buckets
         self._lock = threading.Lock()
         self._children: Dict[Tuple[str, ...], Any] = {}
+        #: The child an unlabeled family updates, bound on first use so
+        #: each update skips the ``labels()`` validation and lookup.
+        self._default: Any = None
 
     def labels(self, **labelvalues: Any) -> Any:
         """The child for one label-value combination (memoized)."""
@@ -321,12 +344,15 @@ class _Family:
             return child
 
     def _default_child(self) -> Any:
-        if self.labelnames:
-            raise TelemetryError(
-                f"metric {self.name!r} has labels {list(self.labelnames)}; "
-                f"use .labels(...) to pick a child"
-            )
-        return self.labels()
+        child = self._default
+        if child is None:
+            if self.labelnames:
+                raise TelemetryError(
+                    f"metric {self.name!r} has labels {list(self.labelnames)}; "
+                    f"use .labels(...) to pick a child"
+                )
+            child = self._default = self.labels()
+        return child
 
     # Unlabeled families act as their own child.
     def inc(self, amount: float = 1.0) -> None:
@@ -343,6 +369,9 @@ class _Family:
 
     def observe(self, value: float) -> None:
         self._default_child().observe(value)
+
+    def observe_many(self, value: float, count: int) -> None:
+        self._default_child().observe_many(value, count)
 
     @property
     def value(self) -> float:

@@ -10,11 +10,14 @@ probes never run), speculative pipelined probing's bit-identical-answer
 contract across backends, the ``greedy_assign`` fallback for custom
 solvers without ``machine_costs``, and the local-search improver and
 exhaustive baseline — including the measured greedy-vs-exact optimality
-gap that ``greedy-cost+ls`` must close.
+gap that ``greedy-cost+ls`` must close — and the per-run price table's
+accounting: table hits fold into every counter exactly as memo hits would,
+and the explored ``bnb-fleet`` tree is unchanged.
 """
 
 import math
 import random
+import sys
 import threading
 from concurrent.futures import Future, ThreadPoolExecutor
 
@@ -42,6 +45,13 @@ from repro.parallel.backends import (
     SolveTask,
     TaskHandle,
     ThreadBackend,
+)
+from repro.telemetry.instruments import (
+    MEMO_HITS,
+    MEMO_MISSES,
+    PLACEMENT_PROBES,
+    PROBE_LATENCY,
+    SOLVE_LATENCY,
 )
 
 
@@ -72,6 +82,16 @@ def shared_advisor():
 # SolveMemo as a unit
 # ----------------------------------------------------------------------
 class TestSolveMemo:
+    def test_count_hits_adds_hits_without_touching_entries(self):
+        memo = SolveMemo(4)
+        hits_metric = MEMO_HITS.value
+        memo.count_hits(5)
+        memo.count_hits(0)
+        assert memo.hits == 5
+        assert memo.misses == 0
+        assert len(memo) == 0
+        assert MEMO_HITS.value - hits_metric == 5
+
     def test_get_put_and_counters(self):
         memo = SolveMemo(4)
         assert memo.get("a") is None
@@ -137,33 +157,49 @@ class TestSolveMemoConcurrency:
         # Many threads race put/get on a tiny memo over a key space wider
         # than the bound, forcing constant eviction.  The LRU bound must
         # hold at every observation point and the counters must add up.
+        # Folded run-table hits (count_hits) race the gets and must not be
+        # lost either.
         memo = SolveMemo(8)
         bound_violations = []
         gets_per_worker = [0] * 8
+        folded_per_worker = [0] * 8
 
         def worker(worker_index):
             rng = random.Random(worker_index)
             for _ in range(400):
                 key = ("k", rng.randrange(32))
-                if rng.random() < 0.5:
+                draw = rng.random()
+                if draw < 0.5:
                     memo.put(key, worker_index)
-                else:
+                elif draw < 0.9:
                     memo.get(key)
                     gets_per_worker[worker_index] += 1
+                else:
+                    memo.count_hits(3)
+                    folded_per_worker[worker_index] += 3
                 if len(memo) > memo.max_entries:
                     bound_violations.append(len(memo))
 
         threads = [
             threading.Thread(target=worker, args=(index,)) for index in range(8)
         ]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
         assert not bound_violations
         assert len(memo) <= memo.max_entries
         stats = memo.stats()
-        assert stats["hits"] + stats["misses"] == sum(gets_per_worker)
+        assert stats["hits"] + stats["misses"] == (
+            sum(gets_per_worker) + sum(folded_per_worker)
+        )
+        assert stats["hits"] >= sum(folded_per_worker) > 0
         assert stats["entries"] <= stats["max_entries"]
 
     def test_concurrent_fleet_solves_respect_a_tiny_memo_bound(self):
@@ -331,6 +367,146 @@ class TestAdvisorSolveMemo:
         assert stats_b.evaluations == 0
         assert weighted_b == weighted_a
         assert report_b.canonical_dict() == report_a.canonical_dict()
+
+
+# ----------------------------------------------------------------------
+# Accounting invariants of the per-run price table
+# ----------------------------------------------------------------------
+#: ``bnb-fleet`` tree counts on ``small_fleet(7, 3)``, pinned from the
+#: solver before the run table existed: the table must not change the
+#: explored tree.
+_BNB_7X3_NODES = 155
+_BNB_7X3_PRUNED = 102
+
+
+def _accounting_snapshot(advisor):
+    return {
+        "probes": PLACEMENT_PROBES.value,
+        "probe_latency": PROBE_LATENCY.count,
+        "solve_latency": SOLVE_LATENCY.count,
+        "memo_hits_metric": MEMO_HITS.value,
+        "memo_misses_metric": MEMO_MISSES.value,
+        "memo_hits": advisor.solve_memo.hits,
+        "memo_misses": advisor.solve_memo.misses,
+    }
+
+
+def _accounting_delta(before, after):
+    return {key: after[key] - before[key] for key in before}
+
+
+class TestRunTableAccounting:
+    """Table hits fold into every counter exactly as memo hits would."""
+
+    @pytest.mark.parametrize("backend", ["serial", "thread"])
+    @pytest.mark.parametrize(
+        "strategy", ["bnb-fleet", "greedy-cost+ls", "greedy-cost-spec"]
+    )
+    def test_cold_and_warm_counters_agree(self, strategy, backend):
+        problem = small_fleet(n_tenants=7, n_machines=3)
+        advisor = FleetAdvisor(
+            delta=0.25, backend=backend, jobs=4 if backend == "thread" else None
+        )
+        try:
+            answers = []
+            for phase in ("cold", "warm"):
+                before = _accounting_snapshot(advisor)
+                report = advisor.recommend(problem, placement=strategy)
+                delta = _accounting_delta(before, _accounting_snapshot(advisor))
+                answers.append(report.canonical_dict())
+                assert delta["probes"] > 0
+                assert delta["probes"] == delta["probe_latency"], phase
+                assert report.cost_stats.placement_solve_hits == delta["memo_hits"]
+                assert delta["memo_hits_metric"] == delta["memo_hits"]
+                assert delta["memo_misses_metric"] == delta["memo_misses"]
+                assert delta["memo_misses"] == delta["solve_latency"], phase
+                if phase == "warm":
+                    assert delta["memo_misses"] == 0
+                    assert report.cost_stats.evaluations == 0
+                if strategy == "bnb-fleet":
+                    provenance = report.placement_provenance
+                    assert provenance["nodes_explored"] == _BNB_7X3_NODES
+                    assert provenance["nodes_pruned"] == _BNB_7X3_PRUNED
+            assert answers[0] == answers[1]
+        finally:
+            advisor.backend.close()
+
+    def test_bnb_12x4_tree_is_unchanged(self):
+        from repro.experiments.fleet import build_fleet_problem
+
+        data = build_fleet_problem(n_tenants=12, n_machines=4).to_dict()
+        data["calibration"] = {"cpu_shares": [0.25, 0.5, 0.75, 1.0]}
+        problem = FleetProblem.from_dict(data)
+        advisor = FleetAdvisor(delta=0.25)
+        cold = advisor.recommend(problem, placement="bnb-fleet")
+        warm = advisor.recommend(problem, placement="bnb-fleet")
+        for report in (cold, warm):
+            assert report.placement_provenance["nodes_explored"] == 153_281
+            assert report.placement_provenance["nodes_pruned"] == 114_912
+        assert warm.canonical_dict() == cold.canonical_dict()
+
+    def test_direct_solver_reports_folded_stats_after_place(self):
+        problem = small_fleet(n_tenants=7, n_machines=3)
+        advisor = FleetAdvisor(delta=0.25)
+        advisor.recommend(problem, placement="greedy-cost+ls")  # warm the memo
+        before = _accounting_snapshot(advisor)
+        solver = _FleetSolver(advisor, problem, SerialBackend())
+        LocalSearchPlacement().place(problem, solver)
+        stats = solver.stats  # folds the run's table hits
+        delta = _accounting_delta(before, _accounting_snapshot(advisor))
+        assert solver.table_hits > 0
+        assert stats.evaluations == 0
+        assert stats.placement_solve_hits == delta["memo_hits"]
+        assert delta["memo_hits"] == solver.table_hits + solver.solves
+        assert delta["probes"] == delta["probe_latency"] == delta["memo_hits"]
+        assert delta["memo_misses"] == 0
+        # Folding is once: reading again, or releasing, adds nothing.
+        folded = _accounting_snapshot(advisor)
+        assert solver.stats == stats
+        solver.release()
+        assert _accounting_snapshot(advisor) == folded
+
+    def test_release_folds_hits_a_run_never_reported(self):
+        problem = small_fleet(n_tenants=4, n_machines=2)
+        advisor = FleetAdvisor(delta=0.25)
+        advisor.recommend(problem)
+        hits_before = advisor.solve_memo.hits
+        solver = _FleetSolver(advisor, problem, SerialBackend())
+        solver.machine_cost(0, (0, 1))
+        solver.machine_cost(0, (0, 1))
+        solver.machine_cost(1, (0, 1))  # same hardware shape: a table hit
+        assert (solver.solves, solver.table_hits) == (1, 2)
+        assert advisor.solve_memo.hits - hits_before == 1  # the one solve
+        solver.release()
+        assert advisor.solve_memo.hits - hits_before == 3
+
+    def test_table_hit_probe_handle_is_already_resolved(self):
+        problem = small_fleet(n_tenants=4, n_machines=2)
+        advisor = FleetAdvisor(delta=0.25)
+        solver = _FleetSolver(advisor, problem, SerialBackend())
+        first = solver.submit_probe(0, (0, 2))
+        assert solver.table_hits == 0
+        cost = first.result()
+        again = solver.submit_probe(1, (0, 2))
+        assert solver.table_hits == 1
+        assert again.result() == cost == solver.machine_cost(0, (0, 2))
+
+    def test_infeasible_table_hits_fold_no_solve_hits(self):
+        problem = small_fleet(n_tenants=4, n_machines=2)
+        advisor = FleetAdvisor(delta=0.25)
+        ordered = (0, 1)
+        key = advisor._solve_key(problem, problem.machines[0], ordered)
+        advisor.solve_memo.put(key, Infeasible("seeded infeasibility"))
+        solver = _FleetSolver(advisor, problem, SerialBackend())
+        hits_before = advisor.solve_memo.hits
+        assert solver.machine_costs([(0, ordered), (1, ordered)]) == [
+            math.inf, math.inf
+        ]
+        assert (solver.solves, solver.table_hits) == (1, 1)
+        # The memo-served infeasibility raised, so neither the solve nor
+        # the table hit adds a placement_solve_hit; both count as memo hits.
+        assert solver.stats.placement_solve_hits == 0
+        assert advisor.solve_memo.hits - hits_before == 2
 
 
 # ----------------------------------------------------------------------

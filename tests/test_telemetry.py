@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 from repro.exceptions import TelemetryError
 from repro.fleet import FleetAdvisor, FleetProblem
 from repro.telemetry import get_tracer
+from repro.telemetry.instruments import PLACEMENT_PROBES
 from repro.telemetry.metrics import (
     LATENCY_BUCKETS,
     MetricsRegistry,
@@ -117,6 +118,61 @@ class TestMetricsRegistry:
         assert family.labels(endpoint="fleet") is child
         with pytest.raises(TelemetryError):
             family.labels(method="GET")
+
+    def test_unlabeled_updates_reuse_one_bound_child(self):
+        registry = MetricsRegistry()
+        counter = registry.counter("t_bound_total", "help")
+        for _ in range(3):
+            counter.inc()
+        child = counter._default_child()
+        assert counter._default_child() is child
+        assert counter.labels() is child
+        assert child.value == 3.0
+        assert [key for key, _child in counter.children()] == [()]
+
+    def test_unlabeled_update_on_a_labeled_family_raises(self):
+        registry = MetricsRegistry()
+        family = registry.counter("t_labeled_total", "help", labelnames=("endpoint",))
+        for _ in range(2):  # the refusal is not cached away on first use
+            with pytest.raises(TelemetryError):
+                family.inc()
+        histogram = registry.histogram(
+            "t_labeled_seconds", "help", labelnames=("endpoint",)
+        )
+        with pytest.raises(TelemetryError):
+            histogram.observe_many(0.1, 3)
+
+    @pytest.mark.parametrize("value,count", [
+        (0.0005, 7), (0.25, 12), (3.0, 1), (0.5, 0), (20.0, 4),
+    ])
+    def test_observe_many_equals_repeated_observe(self, value, count):
+        registry = MetricsRegistry()
+        many = registry.histogram("t_many_seconds", "help")
+        one = registry.histogram("t_one_seconds", "help")
+        many.observe(0.003)
+        one.observe(0.003)
+        many.observe_many(value, count)
+        for _ in range(count):
+            one.observe(value)
+        assert many.bucket_counts() == one.bucket_counts()
+        assert many.count == one.count == count + 1
+        assert many.sum == pytest.approx(one.sum, rel=1e-12)
+
+    def test_observe_many_sum_is_exact_for_representable_values(self):
+        registry = MetricsRegistry()
+        many = registry.histogram("t_exact_many", "help")
+        one = registry.histogram("t_exact_one", "help")
+        many.observe_many(0.125, 1000)
+        for _ in range(1000):
+            one.observe(0.125)
+        assert many.sum == one.sum == 125.0
+
+    def test_observe_many_rejects_negative_counts(self):
+        registry = MetricsRegistry()
+        histogram = registry.histogram("t_negative_many", "help")
+        with pytest.raises(TelemetryError):
+            histogram.observe_many(0.1, -1)
+        assert histogram.count == 0
 
     def test_prometheus_exposition_shape(self):
         registry = MetricsRegistry()
@@ -470,6 +526,31 @@ class TestTracedPipeline:
         assert by_name["greedy.assign"]["attributes"]["probes"] > 0
         assert by_name["placement.improve"]["attributes"]["rounds"] >= 0
         assert "memo_hits_delta" in by_name["fleet.recommend"]["attributes"]
+
+    def test_place_span_carries_run_table_counters(self, tracer):
+        problem = small_fleet()
+        advisor = FleetAdvisor(delta=0.25)
+        for strategy in ("greedy-cost+ls", "bnb-fleet"):
+            for _phase in ("cold", "warm"):
+                probes_before = PLACEMENT_PROBES.value
+                advisor.recommend(problem, placement=strategy)
+                trace = tracer.ring.get(tracer.ring.trace_ids()[-1])
+                place = next(
+                    span for span in _walk(trace) if span["name"] == "placement.place"
+                )
+                attributes = place["attributes"]
+                assert attributes["table_hits"] > 0
+                assert attributes["solves"] > 0
+                assert (
+                    attributes["probes"]
+                    == attributes["table_hits"] + attributes["solves"]
+                )
+                # Serial, non-speculative: every probe asked is counted once.
+                assert PLACEMENT_PROBES.value - probes_before == attributes["probes"]
+                # Aggregates only: the table adds no per-probe spans.
+                assert not any(
+                    span["name"] == "solve.machine" for span in _walk(place)
+                )
 
 
 def _walk(span):
