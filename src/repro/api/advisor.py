@@ -325,6 +325,7 @@ class Advisor:
         misses_before = costs.cache.misses
         optimizer_before = sum(e.optimizer_call_count() for e in engines)
         plan_hits_before = sum(e.plan_cache_hit_count() for e in engines)
+        spaces_before = sum(e.plan_space_count() for e in engines)
 
         # The solve is one leaf span: the enumerator's inner loop is far
         # too hot for per-evaluation spans, so the cache-traffic delta is
@@ -353,6 +354,11 @@ class Advisor:
                 evaluations=stats.evaluations,
                 cache_hits_delta=stats.cache_hits,
                 cache_misses_delta=stats.cache_misses,
+                optimizer_calls=stats.optimizer_calls,
+                plan_cache_hits=stats.plan_cache_hits,
+                plan_spaces_built=(
+                    sum(e.plan_space_count() for e in engines) - spaces_before
+                ),
             )
 
         elapsed = time.perf_counter() - started

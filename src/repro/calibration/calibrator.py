@@ -193,11 +193,14 @@ class EngineCalibration(ABC):
 
         ``allocations`` is an iterable of ``(cpu_share, memory_fraction)``
         pairs.  The statement list is materialized once and the optimizer
-        parameter vector is built once per distinct allocation; plans are
-        optimized once per distinct engine configuration and reused across
-        allocations through the engine's plan cache, so building a whole
-        cost table costs one optimizer call per (statement, configuration)
-        pair instead of one per (statement, grid point).
+        parameter vector is built once per distinct allocation.  Each
+        distinct engine configuration costs one what-if call per statement,
+        reused across allocations through the engine's plan cache, so a
+        whole cost table costs one optimizer call per (statement,
+        configuration) pair instead of one per (statement, grid point).
+        Those calls share the planner's plan spaces: operator trees are
+        built once per memory context and only re-chosen per CPU
+        configuration.
         """
         statements = list(statements)
         configurations: Dict[Tuple[float, float], EngineConfiguration] = {}

@@ -183,9 +183,14 @@ class DatabaseEngine(ABC):
         """What-if calls answered from the plan cache (monotonic counter)."""
         return self._plan_cache_hits
 
+    def plan_space_count(self) -> int:
+        """Plan spaces (query, memory context) the planner currently holds."""
+        return self.planner.space_count()
+
     def clear_plan_cache(self) -> None:
-        """Drop all cached plans and costs."""
+        """Drop all cached plans and costs, and the planner's plan spaces."""
         self._plan_cache.clear()
+        self.planner.clear()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"{type(self).__name__}(database={self.database.name!r})"

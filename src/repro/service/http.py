@@ -203,8 +203,14 @@ class AdvisorRequestHandler(BaseHTTPRequestHandler):
     # Plumbing
     # ------------------------------------------------------------------
     def _read_document(self) -> Any:
-        length = int(self.headers.get("Content-Length", 0) or 0)
-        if length <= 0:
+        header = (self.headers.get("Content-Length") or "0").strip()
+        if not (header.isascii() and header.isdigit()):
+            # The body's extent is unknown, so the rest of the stream cannot
+            # be parsed as another request: answer, then close.
+            self.close_connection = True
+            raise ReproError(f"malformed Content-Length header {header!r}")
+        length = int(header)
+        if length == 0:
             raise json.JSONDecodeError("empty request body", "", 0)
         body = self.rfile.read(length).decode("utf-8")
         return json.loads(body)
@@ -229,6 +235,8 @@ class AdvisorRequestHandler(BaseHTTPRequestHandler):
         self.send_response(status)
         for name, value in extra_headers:
             self.send_header(name, value)
+        if self.close_connection:
+            self.send_header("Connection", "close")
         self.send_header("Content-Type", content_type)
         self.send_header("Content-Length", str(len(body)))
         self.end_headers()

@@ -1,5 +1,6 @@
 """Property-based tests (hypothesis) for core invariants."""
 
+import dataclasses
 import math
 
 from hypothesis import HealthCheck, assume, given, settings
@@ -66,6 +67,21 @@ class TestResourceUsageProperties:
             (usage.seq_pages + usage.random_pages) * factor,
             rel_tol=1e-9, abs_tol=1e-9,
         )
+
+    @given(a=usage_strategy, b=usage_strategy,
+           factor=st.floats(min_value=0.0, max_value=100.0))
+    def test_methods_equal_a_field_by_field_reference(self, a, b, factor):
+        names = [f.name for f in dataclasses.fields(ResourceUsage)]
+        total = a + b
+        scaled = a.scaled(factor)
+        copied = a.copy()
+        assert a.as_dict() == {name: getattr(a, name) for name in names}
+        assert copied == a and copied is not a
+        for name in names:
+            assert getattr(total, name) == getattr(a, name) + getattr(b, name)
+            expected = (a.working_set_pages if name == "working_set_pages"
+                        else getattr(a, name) * factor)
+            assert getattr(scaled, name) == expected
 
 
 class TestCatalogProperties:

@@ -11,7 +11,9 @@ repeats drive the shared cost-cache hit rate above zero.
 """
 
 import asyncio
+import http.client
 import json
+import re
 import threading
 import urllib.error
 import urllib.request
@@ -471,6 +473,34 @@ class TestHTTPServer:
         request = urllib.request.Request(server.url + "/recommend", data=b"")
         code, body = error_of(lambda: urllib.request.urlopen(request, timeout=30))
         assert code == 400 and "error" in body
+
+    @pytest.mark.parametrize("length", ["abc", "-5"])
+    def test_malformed_content_length_is_400(self, server, length):
+        def served_400():
+            text = urllib.request.urlopen(
+                server.url + "/metrics", timeout=30).read().decode("utf-8")
+            match = re.search(
+                r'^repro_http_requests_total\{endpoint="/recommend",status="400"\} '
+                r'(\S+)$', text, re.MULTILINE)
+            return float(match.group(1)) if match else 0.0
+
+        before = served_400()
+        host, port = server.server_address[:2]
+        connection = http.client.HTTPConnection(host, port, timeout=30)
+        try:
+            connection.putrequest("POST", "/recommend")
+            connection.putheader("Content-Type", "application/json")
+            connection.putheader("Content-Length", length)
+            connection.endheaders()
+            response = connection.getresponse()
+            body = json.loads(response.read())
+        finally:
+            connection.close()
+        assert response.status == 400
+        assert "Content-Length" in body["error"]
+        # The unread body would corrupt the next request on this stream.
+        assert response.getheader("Connection") == "close"
+        assert served_400() == before + 1
 
     def test_concurrent_mixed_endpoints_match_direct_calls(
         self,

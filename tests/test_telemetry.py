@@ -553,6 +553,35 @@ class TestTracedPipeline:
                 )
 
 
+    def test_recommend_span_carries_planner_counters(self, tracer):
+        from repro.api import Advisor, Scenario
+
+        problem = Scenario.from_dict({
+            "resources": ["cpu", "memory"],
+            "tenants": [
+                {"name": "a", "engine": "postgresql", "statements": [["q17", 1.0]]},
+                {"name": "b", "engine": "db2", "statements": [["q18", 2.0]]},
+            ],
+        }).build()
+        advisor = Advisor(enumerator="exhaustive-dp", delta=0.25)
+        for phase in ("cold", "warm"):
+            report = advisor.recommend(problem)
+            trace = tracer.ring.get(tracer.ring.trace_ids()[-1])
+            span = next(s for s in _walk(trace) if s["name"] == "advisor.recommend")
+            attributes = span["attributes"]
+            stats = report.cost_stats
+            assert attributes["optimizer_calls"] == stats.optimizer_calls
+            assert attributes["plan_cache_hits"] == stats.plan_cache_hits
+            # Aggregates only: the planner adds no per-call spans.
+            assert [s["name"] for s in _walk(span)] == ["advisor.recommend"]
+            if phase == "cold":
+                # Several CPU configurations share each memory context.
+                assert 0 < attributes["plan_spaces_built"] < stats.optimizer_calls
+            else:
+                assert attributes["plan_spaces_built"] == 0
+                assert attributes["optimizer_calls"] == 0
+
+
 def _walk(span):
     yield span
     for child in span.get("children", []):
