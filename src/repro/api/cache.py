@@ -120,6 +120,39 @@ class CostCache:
             self.hits += 1
             return value
 
+    def get_all(
+        self,
+        namespace: str,
+        tenant: ConsolidatedWorkload,
+        allocations: Sequence[ResourceAllocation],
+    ) -> Optional[List[float]]:
+        """Cached costs of every allocation in a batch, or ``None``.
+
+        The all-hit fast path of :meth:`CachedCostFunction.cost_many`: each
+        key is computed once and the whole batch is looked up — and its
+        hits counted — under a single lock acquire.  The first miss ends
+        the attempt (a cold batch pays for one key) and returns ``None``
+        with nothing counted, so the per-allocation fallback does all of
+        that batch's accounting exactly once.
+        """
+        workload_id, calibration_id = id(tenant.workload), id(tenant.calibration)
+        values: List[float] = []
+        with self._lock:
+            lookup = self._values.get
+            for allocation in allocations:
+                value = lookup((
+                    namespace,
+                    workload_id,
+                    calibration_id,
+                    round(allocation.cpu_share, _CACHE_DECIMALS),
+                    round(allocation.memory_fraction, _CACHE_DECIMALS),
+                ))
+                if value is None:
+                    return None
+                values.append(value)
+            self.hits += len(values)
+        return values
+
     def put(
         self,
         namespace: str,
@@ -262,11 +295,16 @@ class CachedCostFunction(CostFunction):
         Misses are deduplicated within the batch and evaluated in one call
         through the wrapped function's batch path; hit/miss accounting
         matches what the equivalent sequence of :meth:`cost` calls would
-        record (a repeated allocation counts as a hit).
+        record (a repeated allocation counts as a hit).  A batch the cache
+        answers in full skips all of that: one lookup of every key under one
+        lock acquire.
         """
         if not 0 <= tenant_index < self.problem.n_workloads:
             raise EstimationError(f"tenant index {tenant_index} out of range")
         tenant = self.problem.tenant(tenant_index)
+        cached = self.cache.get_all(self._namespace, tenant, allocations)
+        if cached is not None:
+            return cached
 
         def record_duplicate_hit() -> None:
             # A sequential cost() loop would find the first occurrence's

@@ -7,12 +7,17 @@ all ``M^T`` assignments, so a paper-sized 12-tenant × 4-machine fleet
 finds the *same* optimum while exploring a tiny fraction of that tree:
 
 * **Branching** assigns one tenant per tree level, in descending gain
-  factor (then problem order) — the heavyweight tenants, whose placement
-  moves the objective most, are decided near the root where pruning is
-  cheapest.  Children of a node (the candidate machines of the next
-  tenant) are priced as one batch through the placement solver, so node
-  evaluation fans out on the run's solver-execution backend and warm
-  paths are answered by the fleet solve-memo.
+  factor — the heavyweight tenants, whose placement moves the objective
+  most, are decided near the root where pruning is cheapest — with gain
+  ties broken by descending best-alone cost, then problem order
+  (:func:`branching_order`; the best-alone costs are the bound's, so the
+  order costs no extra pricing).  On the 12×4 benchmark fleet the
+  tie-break cuts the tree from 153,281 to 100,517 nodes.  Children of a
+  node (the candidate machines of the next tenant) are priced as one
+  batch through the placement solver, so node evaluation fans out on the
+  run's solver-execution backend and warm paths are answered by the
+  fleet solve-memo.  The walk itself is one loop over an explicit stack
+  whose per-node work touches only locals.
 * **Bounding** prunes a partial assignment when an admissible lower bound
   on its best completion exceeds the incumbent: the committed machines'
   exact costs plus, for every unassigned tenant, the cost of that tenant
@@ -53,11 +58,12 @@ the ``/fleet`` wire.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import time
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from ..exceptions import ConfigurationError, PlacementError
 from ..telemetry.instruments import BNB_NODES, BNB_PRUNED
@@ -77,8 +83,8 @@ from .strategies import (
 _EPSILON = 1e-12
 
 #: Default node budget.  One "node" is one priced partial assignment;
-#: the 12×4 benchmark fleet needs 153,281 to prove its optimum, so this
-#: leaves it ~30% headroom while still bounding runaway searches
+#: the 12×4 benchmark fleet needs 100,517 to prove its optimum, so this
+#: leaves it about 2× headroom while still bounding runaway searches
 #: (adversarial instances, weak bounds).
 DEFAULT_MAX_NODES = 200_000
 
@@ -173,6 +179,25 @@ def best_alone_costs(
     return best
 
 
+def branching_order(
+    problem: FleetProblem, best_alone: Sequence[float]
+) -> List[int]:
+    """The tenant order of the tree, root level first.
+
+    Descending gain factor: the heavyweight tenants, whose placement moves
+    the objective most, are decided near the root where pruning is
+    cheapest.  Ties go to the larger best-alone cost (already
+    gain-weighted) — the tenant whose cheapest placement is dearest
+    constrains the rest most — and then to problem order.
+    """
+    return sorted(
+        range(problem.n_tenants),
+        key=lambda index: (
+            -problem.tenants[index].gain_factor, -best_alone[index], index
+        ),
+    )
+
+
 def completion_lower_bound(
     committed_cost: float,
     best_alone: Sequence[float],
@@ -249,12 +274,16 @@ class BnbSearchStats:
         }
 
 
-class _BudgetExhausted(Exception):
-    """Internal unwind signal: a node or time budget tripped mid-search."""
+class _Walk(NamedTuple):
+    """What one tree walk ends with: the incumbent and the accounting."""
 
-    def __init__(self, which: str) -> None:
-        super().__init__(which)
-        self.which = which
+    incumbent: Optional[Tuple[int, ...]]
+    incumbent_cost: float
+    nodes: int
+    pruned: int
+    leaves: int
+    updates: int
+    budget_exhausted: Optional[str]
 
 
 class BranchAndBoundPlacement:
@@ -316,13 +345,6 @@ class BranchAndBoundPlacement:
         n_tenants, n_machines = problem.n_tenants, problem.n_machines
         classes = symmetry_classes(problem)
 
-        # Heavy tenants branch first: their placement moves the objective
-        # most, so bad subtrees are cut near the root.
-        order = sorted(
-            range(n_tenants),
-            key=lambda index: (-problem.tenants[index].gain_factor, index),
-        )
-
         # --- Incumbent seed -------------------------------------------
         seeded_cost: Optional[float] = None
         incumbent: Optional[Tuple[int, ...]] = None
@@ -353,6 +375,7 @@ class BranchAndBoundPlacement:
             "bnb.bound", leaf=True, tenants=n_tenants, machines=n_machines
         ):
             best_alone = best_alone_costs(problem, solver)
+        order = branching_order(problem, best_alone)
         suffix_bound = [0.0] * (n_tenants + 1)
         for depth in range(n_tenants - 1, -1, -1):
             suffix_bound[depth] = (
@@ -360,53 +383,32 @@ class BranchAndBoundPlacement:
             )
 
         # --- Depth-first search with backtracking ---------------------
-        state = {
-            "loads": [() for _ in range(n_machines)],
-            "committed": [0.0] * n_machines,
-            "assignment": [-1] * n_tenants,
-            "nodes": 0,
-            "pruned": 0,
-            "leaves": 0,
-            "updates": 0,
-            "incumbent": incumbent,
-            "incumbent_cost": incumbent_cost,
-        }
+        # One leaf span covers the whole tree walk; coarse ``progress``
+        # events (every ``_PROGRESS_EVERY`` nodes) keep it observable.
         deadline = (
             started + self.max_seconds if self.max_seconds is not None else None
         )
-        budget_exhausted: Optional[str] = None
-        # One leaf span covers the whole tree walk; coarse ``progress``
-        # events (every ``_PROGRESS_EVERY`` nodes) keep it observable.
-        search_span = get_tracer().span(
+        with get_tracer().span(
             "bnb.search", leaf=True, max_nodes=self.max_nodes
-        )
-        search_span.__enter__()
-        state["span"] = search_span
-        state["next_report"] = _PROGRESS_EVERY
-        try:
-            try:
-                self._search(problem, solver, order, classes, suffix_bound,
-                             state, depth=0, deadline=deadline)
-            except _BudgetExhausted as exhausted:
-                budget_exhausted = exhausted.which
-            search_span.set_attributes(
-                nodes=state["nodes"],
-                pruned=state["pruned"],
-                leaves=state["leaves"],
-                incumbent_updates=state["updates"],
-                budget_exhausted=budget_exhausted,
+        ) as search_span:
+            walk = self._walk(
+                problem, solver, order, classes, suffix_bound,
+                incumbent, incumbent_cost, deadline, search_span,
             )
-        finally:
-            search_span.__exit__(None, None, None)
-        BNB_NODES.inc(state["nodes"])
-        BNB_PRUNED.inc(state["pruned"])
+            search_span.set_attributes(
+                nodes=walk.nodes,
+                pruned=walk.pruned,
+                leaves=walk.leaves,
+                incumbent_updates=walk.updates,
+                budget_exhausted=walk.budget_exhausted,
+            )
+        BNB_NODES.inc(walk.nodes)
+        BNB_PRUNED.inc(walk.pruned)
 
-        best = state["incumbent"]
-        best_cost = state["incumbent_cost"]
-        if best is None:
-            if budget_exhausted is not None:
+        if walk.incumbent is None:
+            if walk.budget_exhausted is not None:
                 raise PlacementError(
-                    f"bnb-fleet exhausted its {budget_exhausted} budget "
+                    f"bnb-fleet exhausted its {walk.budget_exhausted} budget "
                     f"(max_nodes={self.max_nodes}, "
                     f"max_seconds={self.max_seconds}) before finding any "
                     f"feasible assignment; raise the budget or seed the "
@@ -418,149 +420,192 @@ class BranchAndBoundPlacement:
                 f"degradation constraints"
             )
         self.last_search = BnbSearchStats(
-            nodes_explored=state["nodes"],
-            nodes_pruned=state["pruned"],
-            leaves_evaluated=state["leaves"],
-            incumbent_updates=state["updates"],
+            nodes_explored=walk.nodes,
+            nodes_pruned=walk.pruned,
+            leaves_evaluated=walk.leaves,
+            incumbent_updates=walk.updates,
             full_tree_size=n_machines ** n_tenants,
             seeded_cost=seeded_cost,
-            best_cost=best_cost,
-            proven_optimal=budget_exhausted is None,
-            budget_exhausted=budget_exhausted,
+            best_cost=walk.incumbent_cost,
+            proven_optimal=walk.budget_exhausted is None,
+            budget_exhausted=walk.budget_exhausted,
             max_nodes=self.max_nodes,
             max_seconds=self.max_seconds,
             elapsed_seconds=time.perf_counter() - started,
         )
-        return best
+        return walk.incumbent
 
-    def _search(
+    def _walk(
         self,
         problem: FleetProblem,
         solver: PlacementSolver,
         order: Sequence[int],
         classes: Sequence[_ClassKey],
         suffix_bound: Sequence[float],
-        state: Dict[str, Any],
-        depth: int,
+        incumbent: Optional[Tuple[int, ...]],
+        incumbent_cost: float,
         deadline: Optional[float],
-    ) -> None:
-        """Expand one node: price the children, bound, recurse best-first."""
-        if depth == problem.n_tenants:
-            self._complete(problem, classes, state)
-            return
-        if deadline is not None and time.perf_counter() > deadline:
-            raise _BudgetExhausted("time")
+        span: Any,
+    ) -> "_Walk":
+        """Walk the tree depth-first in one loop, with an explicit stack.
 
-        tenant_index = order[depth]
-        loads: List[Tuple[int, ...]] = state["loads"]
-        committed: List[float] = state["committed"]
-
-        # Candidate machines, one representative per (class, current
-        # load) group when symmetry breaking is on.
-        children: List[Tuple[int, Tuple[int, ...]]] = []
-        expanded = set()
-        for machine_index in range(problem.n_machines):
-            if self.symmetry_breaking:
-                group = (classes[machine_index], loads[machine_index])
-                if group in expanded:
-                    continue
-                expanded.add(group)
-            candidate = tuple(
-                sorted(loads[machine_index] + (tenant_index,))
-            )
-            if solver.fits(machine_index, candidate):
-                children.append((machine_index, candidate))
-        if not children:
-            return
-
-        if state["nodes"] + len(children) > self.max_nodes:
-            raise _BudgetExhausted("nodes")
-        state["nodes"] += len(children)
-        if state["nodes"] >= state["next_report"]:
-            state["next_report"] = state["nodes"] + _PROGRESS_EVERY
-            incumbent_cost = state["incumbent_cost"]
-            state["span"].event(
-                "progress",
-                nodes=state["nodes"],
-                pruned=state["pruned"],
-                incumbent_cost=(
-                    None if math.isinf(incumbent_cost) else incumbent_cost
-                ),
-            )
-        costs = _price_candidates(solver, children)
-
-        # Bound each child; order survivors best-bound-first so tight
-        # incumbents appear early and prune the rest.  The order affects
-        # only how fast the tree shrinks, never the final answer.
-        total = sum(committed)
-        ranked: List[Tuple[float, int, Tuple[int, ...], float]] = []
-        for (machine_index, candidate), cost in zip(children, costs):
-            if math.isinf(cost):
-                continue  # co-location no allocation can make feasible
-            bound = (
-                total - committed[machine_index] + cost
-                + suffix_bound[depth + 1]
-            )
-            if bound > state["incumbent_cost"] + _EPSILON:
-                state["pruned"] += 1
-                continue
-            ranked.append((bound, machine_index, candidate, cost))
-        ranked.sort(key=lambda entry: (entry[0], entry[1]))
-
-        assignment: List[int] = state["assignment"]
-        for bound, machine_index, candidate, cost in ranked:
-            # The incumbent may have tightened since this child was
-            # bounded; re-check before paying for the subtree.
-            if bound > state["incumbent_cost"] + _EPSILON:
-                state["pruned"] += 1
-                continue
-            previous_load = loads[machine_index]
-            previous_cost = committed[machine_index]
-            loads[machine_index] = candidate
-            committed[machine_index] = cost
-            assignment[tenant_index] = machine_index
-            try:
-                self._search(problem, solver, order, classes, suffix_bound,
-                             state, depth + 1, deadline)
-            finally:
-                loads[machine_index] = previous_load
-                committed[machine_index] = previous_cost
-                assignment[tenant_index] = -1
-
-    def _complete(
-        self,
-        problem: FleetProblem,
-        classes: Sequence[_ClassKey],
-        state: Dict[str, Any],
-    ) -> None:
-        """Compare a complete assignment against the incumbent.
-
-        Cost is re-summed over occupied machines in machine order —
-        exactly how ``exhaustive-fleet`` prices an assignment — so the
-        two strategies compare identical floats.  Ties within the
-        tolerance resolve to the lexicographically smaller canonical
-        assignment, which is the representative the exhaustive scan's
-        first-wins rule keeps.
+        Expanding the node at ``depth`` prices its children (the machines
+        that can take tenant ``order[depth]``) as one batch, bounds them,
+        and queues the survivors best-bound-first; advancing re-checks the
+        next queued child against the (possibly tightened) incumbent,
+        commits it, and descends, or backtracks once a node's queue is
+        empty.  Everything the loop touches per node is a local, which is
+        what makes a node cheap.  A tripped budget ends the walk early
+        with the best incumbent so far.
         """
-        state["leaves"] += 1
-        committed: List[float] = state["committed"]
-        loads: List[Tuple[int, ...]] = state["loads"]
-        cost = sum(
-            committed[machine_index]
-            for machine_index in range(problem.n_machines)
-            if loads[machine_index]
+        n_tenants, n_machines = problem.n_tenants, problem.n_machines
+        machines = range(n_machines)
+        max_nodes = self.max_nodes
+        fits = solver.fits
+        price = getattr(solver, "machine_costs", None)
+        if price is None:
+            price = functools.partial(_price_candidates, solver)
+        clock = time.perf_counter
+        inf = math.inf
+        # Symmetry breaking: a machine is skipped when an earlier machine
+        # of its class (its "twin") holds the same tenant set — its child
+        # would be a relabeling of that machine's.
+        twins = [
+            tuple(
+                earlier for earlier in range(machine)
+                if classes[earlier] == classes[machine]
+            )
+            if self.symmetry_breaking else ()
+            for machine in machines
+        ]
+
+        loads: List[Tuple[int, ...]] = [()] * n_machines
+        committed = [0.0] * n_machines
+        assignment = [-1] * n_tenants
+        # The stack, one slot per depth: the node's queued children, the
+        # machine its current child committed to (-1: none yet), and that
+        # machine's load and cost before the commit.
+        queued: List[Any] = [None] * n_tenants
+        applied = [-1] * n_tenants
+        saved_load: List[Tuple[int, ...]] = [()] * n_tenants
+        saved_cost = [0.0] * n_tenants
+        nodes = pruned = leaves = updates = 0
+        next_report = _PROGRESS_EVERY
+        budget_exhausted: Optional[str] = None
+
+        depth = 0
+        while True:
+            # --- Expand the node at ``depth`` ---------------------------
+            if depth == n_tenants:
+                # A leaf.  Cost is re-summed over occupied machines in
+                # machine order — exactly how ``exhaustive-fleet`` prices
+                # an assignment — so the two strategies compare identical
+                # floats.  Ties within the tolerance resolve to the
+                # lexicographically smaller canonical assignment, the
+                # representative the exhaustive scan's first-wins rule
+                # keeps.
+                leaves += 1
+                cost = sum(
+                    committed[machine] for machine in machines if loads[machine]
+                )
+                if cost <= incumbent_cost + _EPSILON:
+                    candidate = canonical_assignment(tuple(assignment), classes)
+                    if (
+                        cost < incumbent_cost - _EPSILON
+                        or incumbent is None
+                        or candidate < incumbent
+                    ):
+                        incumbent, incumbent_cost = candidate, cost
+                        updates += 1
+                depth -= 1
+            else:
+                if deadline is not None and clock() > deadline:
+                    budget_exhausted = "time"
+                    break
+                tenant_index = order[depth]
+                children: List[Tuple[int, Tuple[int, ...]]] = []
+                for machine in machines:
+                    load = loads[machine]
+                    for twin in twins[machine]:
+                        if loads[twin] == load:
+                            break
+                    else:
+                        candidate_load = tuple(sorted(load + (tenant_index,)))
+                        if fits(machine, candidate_load):
+                            children.append((machine, candidate_load))
+                ranked: List[Tuple[float, int, Tuple[int, ...], float]] = []
+                if children:
+                    if nodes + len(children) > max_nodes:
+                        budget_exhausted = "nodes"
+                        break
+                    nodes += len(children)
+                    if nodes >= next_report:
+                        next_report = nodes + _PROGRESS_EVERY
+                        span.event(
+                            "progress",
+                            nodes=nodes,
+                            pruned=pruned,
+                            incumbent_cost=(
+                                None if incumbent_cost == inf else incumbent_cost
+                            ),
+                        )
+                    # Bound each child; survivors go best-bound-first (ties
+                    # by machine index — unique within a node) so tight
+                    # incumbents appear early and prune the rest.  The
+                    # order affects only how fast the tree shrinks, never
+                    # the final answer.
+                    total = sum(committed)
+                    rest = suffix_bound[depth + 1]
+                    for (machine, candidate_load), cost in zip(
+                        children, price(children)
+                    ):
+                        if cost == inf:
+                            continue  # co-location no allocation can make feasible
+                        bound = total - committed[machine] + cost + rest
+                        if bound > incumbent_cost + _EPSILON:
+                            pruned += 1
+                            continue
+                        ranked.append((bound, machine, candidate_load, cost))
+                    ranked.sort()
+                queued[depth] = iter(ranked)
+                applied[depth] = -1
+
+            # --- Advance: descend into the next queued child, or backtrack
+            while depth >= 0:
+                machine = applied[depth]
+                if machine >= 0:
+                    loads[machine] = saved_load[depth]
+                    committed[machine] = saved_cost[depth]
+                for bound, machine, candidate_load, cost in queued[depth]:
+                    # The incumbent may have tightened since this child was
+                    # bounded; re-check before paying for the subtree.
+                    if bound > incumbent_cost + _EPSILON:
+                        pruned += 1
+                        continue
+                    applied[depth] = machine
+                    saved_load[depth] = loads[machine]
+                    saved_cost[depth] = committed[machine]
+                    loads[machine] = candidate_load
+                    committed[machine] = cost
+                    assignment[order[depth]] = machine
+                    break
+                else:
+                    depth -= 1
+                    continue
+                depth += 1
+                break
+            if depth < 0:
+                break
+
+        return _Walk(
+            incumbent=incumbent,
+            incumbent_cost=incumbent_cost,
+            nodes=nodes,
+            pruned=pruned,
+            leaves=leaves,
+            updates=updates,
+            budget_exhausted=budget_exhausted,
         )
-        if cost > state["incumbent_cost"] + _EPSILON:
-            return
-        candidate = canonical_assignment(tuple(state["assignment"]), classes)
-        if (
-            cost < state["incumbent_cost"] - _EPSILON
-            or state["incumbent"] is None
-            or candidate < state["incumbent"]
-        ):
-            state["incumbent"] = candidate
-            state["incumbent_cost"] = cost
-            state["updates"] += 1
 
     # ------------------------------------------------------------------
     # Helpers

@@ -31,7 +31,8 @@ and each admitted solve runs on a worker thread where the service's
 
 Errors map to JSON bodies: malformed documents are ``400 {"error": ...}``
 (:class:`~repro.exceptions.ReproError`, bad JSON), unknown paths ``404``,
-wrong verbs ``405``, anything unexpected ``500``.
+wrong verbs ``405``, a declared body over :data:`MAX_BODY_BYTES` ``413``
+(unread; the connection closes), anything unexpected ``500``.
 """
 
 from __future__ import annotations
@@ -54,6 +55,16 @@ from .engine import AdvisorService
 
 DEFAULT_HOST = "127.0.0.1"
 DEFAULT_PORT = 8008
+
+#: Largest request body the server reads (8 MiB).  Real documents are
+#: kilobytes; a larger declared ``Content-Length`` is answered ``413``
+#: without reading the body, so one request cannot make a handler
+#: buffer an arbitrary amount of memory.
+MAX_BODY_BYTES = 8 * 1024 * 1024
+
+
+class _BodyTooLarge(Exception):
+    """A request declared a body longer than :data:`MAX_BODY_BYTES`."""
 
 
 class AdvisorHTTPServer(ThreadingHTTPServer):
@@ -191,6 +202,9 @@ class AdvisorRequestHandler(BaseHTTPRequestHandler):
                 report = self.server.submit(self.server.async_service.fleet(document))
             else:
                 report = self.server.submit(self.server.async_service.replay(document))
+        except _BodyTooLarge as error:
+            self._send(413, {"error": str(error)})
+            return
         except (ReproError, json.JSONDecodeError, UnicodeDecodeError) as error:
             self._send(400, {"error": str(error)})
             return
@@ -210,6 +224,13 @@ class AdvisorRequestHandler(BaseHTTPRequestHandler):
             self.close_connection = True
             raise ReproError(f"malformed Content-Length header {header!r}")
         length = int(header)
+        if length > MAX_BODY_BYTES:
+            # The body stays unread, so this stream is done too.
+            self.close_connection = True
+            raise _BodyTooLarge(
+                f"request body of {length} bytes exceeds the "
+                f"{MAX_BODY_BYTES}-byte limit"
+            )
         if length == 0:
             raise json.JSONDecodeError("empty request body", "", 0)
         body = self.rfile.read(length).decode("utf-8")

@@ -8,6 +8,7 @@ evaluations.
 """
 
 import json
+import sys
 
 import pytest
 
@@ -414,6 +415,7 @@ class TestCostCache:
         lookups_per_thread = rounds * 2  # one get before, one after each put
         barrier = threading.Barrier(n_threads)
         errors = []
+        batch_hits = [0] * n_threads  # hits counted by all-hit get_all
 
         def worker(seed: int) -> None:
             try:
@@ -427,6 +429,13 @@ class TestCostCache:
                     # A racing generational reset may evict the value, but a
                     # present value must be a float some thread stored.
                     assert value is None or isinstance(value, float)
+                    # A batch counts every hit or, on any miss, nothing.
+                    batch = cache.get_all(
+                        "what-if", tenant, [allocation, allocations[step % 16]]
+                    )
+                    if batch is not None:
+                        assert all(isinstance(item, float) for item in batch)
+                        batch_hits[seed] += len(batch)
                     assert cache.size <= cache.max_entries
             except BaseException as error:  # pragma: no cover - failure path
                 errors.append(error)
@@ -435,13 +444,22 @@ class TestCostCache:
             threading.Thread(target=worker, args=(index,))
             for index in range(n_threads)
         ]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
         assert not errors
-        # Every get() incremented exactly one of the two counters.
-        assert cache.hits + cache.misses == n_threads * lookups_per_thread
+        # Every get() incremented exactly one of the two counters; an
+        # all-hit get_all() one hit per allocation, a failed one nothing.
+        assert cache.hits + cache.misses == (
+            n_threads * lookups_per_thread + sum(batch_hits)
+        )
         assert cache.size <= cache.max_entries
 
     def test_concurrent_memos_hand_out_one_object_per_key(self, fast_calibration):

@@ -13,8 +13,10 @@ cross-backend determinism contract: one ``bnb-fleet`` answer,
 ``canonical_dict``-identical across serial/thread/process/asyncio.
 """
 
+import gc
 import math
 import random
+import weakref
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -31,6 +33,7 @@ from repro.fleet import (
 from repro.fleet.advisor import _FleetSolver
 from repro.fleet.bnb import (
     best_alone_costs,
+    branching_order,
     canonical_assignment,
     completion_lower_bound,
     count_assignments,
@@ -117,6 +120,20 @@ class TestSymmetry:
         classes = symmetry_classes(problem)
         once = canonical_assignment((2, 0, 2), classes)
         assert canonical_assignment(once, classes) == once
+
+
+class TestBranchingOrder:
+    def test_gain_first_then_dearer_best_alone_then_index(self):
+        # Gain factors of small_fleet(6): 1, 2, 3, 1, 2, 3.
+        problem = small_fleet(n_tenants=6)
+        best_alone = [5.0, 1.0, 2.0, 7.0, 3.0, 4.0]
+        # Gain decides first (tenant 3's dearest solo cost does not lift it
+        # above the gain-2 tenants); within a gain, the dearer solo first.
+        assert branching_order(problem, best_alone) == [5, 2, 4, 1, 3, 0]
+
+    def test_full_ties_keep_problem_order(self):
+        problem = small_fleet(n_tenants=6)
+        assert branching_order(problem, [1.0] * 6) == [2, 5, 1, 4, 0, 3]
 
 
 class TestLowerBound:
@@ -370,6 +387,57 @@ class TestProvenance:
         report = shared_advisor.recommend(problem, placement="round-robin")
         assert report.placement_provenance is None
         assert FleetReport.from_json(report.to_json()).placement_provenance is None
+
+
+# ----------------------------------------------------------------------
+# Search cost
+# ----------------------------------------------------------------------
+def coarse_fixture_fleet(n_tenants, n_machines):
+    """The fleet benchmark's fixture on its coarse calibration grid."""
+    from repro.experiments.fleet import build_fleet_problem
+
+    data = build_fleet_problem(n_tenants=n_tenants, n_machines=n_machines).to_dict()
+    data["calibration"] = {"cpu_shares": [0.25, 0.5, 0.75, 1.0]}
+    return FleetProblem.from_dict(data)
+
+
+class TestSearchCost:
+    @pytest.mark.parametrize("build,gain_only_nodes", [
+        (lambda: small_fleet(n_tenants=7, n_machines=3), 155),
+        (lambda: coarse_fixture_fleet(8, 4), 1_216),
+        (lambda: coarse_fixture_fleet(10, 4), 14_855),
+        (lambda: coarse_fixture_fleet(12, 4), 153_281),
+    ], ids=["7x3", "8x4", "10x4", "12x4"])
+    def test_best_alone_tie_break_shrinks_the_tree(self, build, gain_only_nodes):
+        # ``gain_only_nodes``: the tree these fleets needed when gain ties
+        # fell straight to problem order.
+        report = FleetAdvisor(delta=0.25).recommend(build(), placement="bnb-fleet")
+        provenance = report.placement_provenance
+        assert provenance["proven_optimal"] is True
+        assert provenance["nodes_explored"] < gain_only_nodes
+
+    def test_finished_run_leaves_its_solver_unreachable(self):
+        # Reference counting alone must free the run's solver (and its
+        # price table): a reference cycle through it would keep every
+        # run's table alive until the next collector pass.
+        solvers = []
+
+        class Recording(BranchAndBoundPlacement):
+            def place(self, problem, solver):
+                solvers.append(weakref.ref(solver))
+                return super().place(problem, solver)
+
+        advisor = FleetAdvisor(delta=0.25)
+        problem = small_fleet(n_tenants=5, n_machines=2)
+        gc.collect()
+        gc.disable()
+        try:
+            report = advisor.recommend(problem, placement=Recording())
+            assert report.placement_provenance["proven_optimal"] is True
+            assert len(solvers) == 1
+            assert solvers[0]() is None
+        finally:
+            gc.enable()
 
 
 # ----------------------------------------------------------------------

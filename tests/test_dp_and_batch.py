@@ -249,6 +249,50 @@ class TestCostMany:
         assert batched.cost_many(0, allocations) == expected
         assert batched.evaluations == evaluations
 
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_cached_batches_account_like_a_cost_loop(
+        self, data, tpch_sf1_queries, db2_calibration
+    ):
+        """Random batches with duplicates, partly or fully cached.
+
+        Whether the batch takes the all-hit fast path or the per-allocation
+        path, values and the hit/miss/evaluation counts must equal those of
+        a ``cost()`` loop over a fresh cache given the same warm-up.
+        """
+        problem = _problem(
+            tpch_sf1_queries, db2_calibration,
+            gains=(1.0, 2.0), limits=(math.inf, math.inf),
+            resources=(CPU, MEMORY),
+        )
+        grid = st.sampled_from([0.25, 0.5, 0.75])
+        allocation = st.builds(ResourceAllocation, grid, grid)
+        warm = data.draw(st.lists(allocation, max_size=6), label="warm")
+        batches = data.draw(
+            st.lists(st.lists(allocation, max_size=8), min_size=1, max_size=3),
+            label="batches",
+        )
+        params = ((1.0, 2.0, 0.5), (3.0, 0.5, 1.0))
+
+        def subject():
+            costs = CachedCostFunction(
+                problem, SyntheticCostFunction(problem, params), CostCache()
+            )
+            for allocation_ in warm:
+                costs.cost(0, allocation_)
+            return costs
+
+        def counts(costs):
+            return costs.cache.hits, costs.cache.misses, costs.evaluations
+
+        batched, looped = subject(), subject()
+        for batch in batches:
+            # Each batch a second time too: the repeat is all hits.
+            for _ in range(2):
+                expected = [looped.cost(0, allocation_) for allocation_ in batch]
+                assert batched.cost_many(0, batch) == expected
+                assert counts(batched) == counts(looped)
+
     def test_cost_many_rejects_bad_tenant_index(self, problem):
         estimator = WhatIfCostEstimator(problem)
         with pytest.raises(EstimationError):

@@ -27,6 +27,7 @@ from repro.exceptions import ConfigurationError
 from repro.fleet import FleetAdvisor, FleetProblem
 from repro.fleet.report import FleetReport
 from repro.service import AdvisorHTTPServer, AdvisorService, AsyncAdvisorService
+from repro.service.http import MAX_BODY_BYTES
 from repro.traces import FleetTraceReplayer, TraceReplayer, WorkloadTrace
 from repro.traces.replay import ReplayReport
 
@@ -374,6 +375,32 @@ def post(server, path, document):
         return response.status, json.loads(response.read())
 
 
+def served_count(server, endpoint, status):
+    """``repro_http_requests_total`` for one endpoint and status."""
+    text = urllib.request.urlopen(
+        server.url + "/metrics", timeout=30).read().decode("utf-8")
+    match = re.search(
+        rf'^repro_http_requests_total\{{endpoint="{re.escape(endpoint)}",'
+        rf'status="{status}"\}} (\S+)$', text, re.MULTILINE)
+    return float(match.group(1)) if match else 0.0
+
+
+def post_headers_only(server, path, content_length):
+    """POST headers declaring ``content_length`` but send no body."""
+    host, port = server.server_address[:2]
+    connection = http.client.HTTPConnection(host, port, timeout=30)
+    try:
+        connection.putrequest("POST", path)
+        connection.putheader("Content-Type", "application/json")
+        connection.putheader("Content-Length", content_length)
+        connection.endheaders()
+        response = connection.getresponse()
+        body = json.loads(response.read())
+    finally:
+        connection.close()
+    return response, body
+
+
 def error_of(callable_):
     with pytest.raises(urllib.error.HTTPError) as excinfo:
         callable_()
@@ -476,31 +503,26 @@ class TestHTTPServer:
 
     @pytest.mark.parametrize("length", ["abc", "-5"])
     def test_malformed_content_length_is_400(self, server, length):
-        def served_400():
-            text = urllib.request.urlopen(
-                server.url + "/metrics", timeout=30).read().decode("utf-8")
-            match = re.search(
-                r'^repro_http_requests_total\{endpoint="/recommend",status="400"\} '
-                r'(\S+)$', text, re.MULTILINE)
-            return float(match.group(1)) if match else 0.0
-
-        before = served_400()
-        host, port = server.server_address[:2]
-        connection = http.client.HTTPConnection(host, port, timeout=30)
-        try:
-            connection.putrequest("POST", "/recommend")
-            connection.putheader("Content-Type", "application/json")
-            connection.putheader("Content-Length", length)
-            connection.endheaders()
-            response = connection.getresponse()
-            body = json.loads(response.read())
-        finally:
-            connection.close()
+        before = served_count(server, "/recommend", 400)
+        response, body = post_headers_only(server, "/recommend", length)
         assert response.status == 400
         assert "Content-Length" in body["error"]
         # The unread body would corrupt the next request on this stream.
         assert response.getheader("Connection") == "close"
-        assert served_400() == before + 1
+        assert served_count(server, "/recommend", 400) == before + 1
+
+    def test_oversized_body_is_413_and_left_unread(self, server):
+        before = served_count(server, "/fleet", 413)
+        # No body follows the headers: a server that tried to read the
+        # declared length would block until the client timed out.
+        response, body = post_headers_only(
+            server, "/fleet", str(MAX_BODY_BYTES + 1)
+        )
+        assert response.status == 413
+        assert response.getheader("Content-Type") == "application/json"
+        assert str(MAX_BODY_BYTES) in body["error"]
+        assert response.getheader("Connection") == "close"
+        assert served_count(server, "/fleet", 413) == before + 1
 
     def test_concurrent_mixed_endpoints_match_direct_calls(
         self,
