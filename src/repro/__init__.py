@@ -65,61 +65,81 @@ defined as data via :meth:`repro.api.Scenario.from_dict`.
 
 from __future__ import annotations
 
-# Defined before the subpackage imports: the serving tier reports the
-# package version (HTTP Server header, /healthz) and reads it mid-import.
+from importlib import import_module
+from typing import TYPE_CHECKING, Any, List
+
+if TYPE_CHECKING:
+    from .core import VirtualizationDesignProblem
+
+# The serving tier reports the package version (HTTP Server header,
+# /healthz), so it lives here rather than in any subpackage.
 __version__ = "1.4.0"
 
-from .api import (
-    Advisor,
-    ProblemBuilder,
-    RecommendationReport,
-    Scenario,
-    TenantSpec,
-)
-from .calibration import CalibrationSettings, calibrate_engine
-from .core import (
-    ConsolidatedWorkload,
-    Recommendation,
-    ResourceAllocation,
-    UNLIMITED_DEGRADATION,
-    VirtualizationDesignAdvisor,
-    VirtualizationDesignProblem,
-    WhatIfCostEstimator,
-)
-from .core.cost_estimator import ActualCostFunction
-from .dbms.db2 import DB2Engine
-from .dbms.postgres import PostgreSQLEngine
-from .fleet import (
-    FleetAdvisor,
-    FleetProblem,
-    FleetReport,
-    FleetTenant,
-    Machine,
-)
-from .parallel import (
-    BACKENDS,
-    AsyncioBackend,
-    ProcessBackend,
-    SerialBackend,
-    SolverBackend,
-    ThreadBackend,
-    resolve_backend,
-)
-from .service import (
-    AdvisorHTTPServer,
-    AdvisorService,
-    AsyncAdvisor,
-    AsyncFleetAdvisor,
-    serve,
-)
-from .traces import (
-    FleetTraceReplayer,
-    ReplayReport,
-    TraceReplayer,
-    WorkloadTrace,
-)
-from .virt import Hypervisor, PhysicalMachine
-from .workloads import Workload, tpcc_database, tpcc_transactions, tpch_database, tpch_queries
+#: Where each re-exported name lives.  Importing ``repro`` loads none of
+#: these modules: a name's module is imported on first attribute access
+#: (PEP 562), so ``from repro.api import Scenario`` never pays for the
+#: fleet, trace, parallel, or serving tiers.
+_EXPORTS = {
+    "Advisor": ".api",
+    "ProblemBuilder": ".api",
+    "RecommendationReport": ".api",
+    "Scenario": ".api",
+    "TenantSpec": ".api",
+    "CalibrationSettings": ".calibration",
+    "calibrate_engine": ".calibration",
+    "ConsolidatedWorkload": ".core",
+    "Recommendation": ".core",
+    "ResourceAllocation": ".core",
+    "UNLIMITED_DEGRADATION": ".core",
+    "VirtualizationDesignAdvisor": ".core",
+    "VirtualizationDesignProblem": ".core",
+    "WhatIfCostEstimator": ".core",
+    "ActualCostFunction": ".core.cost_estimator",
+    "DB2Engine": ".dbms.db2",
+    "PostgreSQLEngine": ".dbms.postgres",
+    "FleetAdvisor": ".fleet",
+    "FleetProblem": ".fleet",
+    "FleetReport": ".fleet",
+    "FleetTenant": ".fleet",
+    "Machine": ".fleet",
+    "BACKENDS": ".parallel",
+    "AsyncioBackend": ".parallel",
+    "ProcessBackend": ".parallel",
+    "SerialBackend": ".parallel",
+    "SolverBackend": ".parallel",
+    "ThreadBackend": ".parallel",
+    "resolve_backend": ".parallel",
+    "AdvisorHTTPServer": ".service",
+    "AdvisorService": ".service",
+    "AsyncAdvisor": ".service",
+    "AsyncFleetAdvisor": ".service",
+    "serve": ".service",
+    "FleetTraceReplayer": ".traces",
+    "ReplayReport": ".traces",
+    "TraceReplayer": ".traces",
+    "WorkloadTrace": ".traces",
+    "Hypervisor": ".virt",
+    "PhysicalMachine": ".virt",
+    "Workload": ".workloads",
+    "tpcc_database": ".workloads",
+    "tpcc_transactions": ".workloads",
+    "tpch_database": ".workloads",
+    "tpch_queries": ".workloads",
+}
+
+
+def __getattr__(name: str) -> Any:
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(module, __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> List[str]:
+    return sorted(set(globals()) | set(_EXPORTS))
+
 
 __all__ = [
     "ActualCostFunction",
@@ -185,6 +205,8 @@ def quickstart_problem(scale_factor: float = 1.0) -> VirtualizationDesignProblem
         report = Advisor().recommend(quickstart_problem())
         print(report.to_json(indent=2))
     """
+    from .api import ProblemBuilder
+
     return (
         ProblemBuilder()
         .add_tenant(

@@ -59,14 +59,51 @@ import argparse
 import json
 import sys
 from pathlib import Path
-from typing import Any, List, Optional
+from typing import Any, Callable, Iterator, List, Optional, Sequence
 
 from . import __version__
-from .api import Advisor, Scenario
 from .exceptions import ReproError
-from .fleet import PLACEMENTS, FleetAdvisor, FleetProblem
-from .parallel import BACKENDS
-from .traces import POLICIES, POLICY_DYNAMIC, FleetTraceReplayer, TraceReplayer, WorkloadTrace
+
+# Each subcommand imports its subsystem inside its handler, so
+# ``--version`` and ``recommend`` never load the fleet, trace, parallel,
+# or serving tiers.
+
+
+class _Choices:
+    """An argparse ``choices`` container read from a registry when consulted.
+
+    argparse reads ``choices`` to check a given value and to print help;
+    with an explicit ``metavar`` it does not read them while the parser is
+    built, so the registry's package is imported only when a value is
+    checked or help is printed.
+    """
+
+    def __init__(self, names: Callable[[], Sequence[str]]) -> None:
+        self._names = names
+
+    def __contains__(self, value: object) -> bool:
+        return value in self._names()
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._names())
+
+
+def _backend_names() -> List[str]:
+    from .parallel import BACKENDS
+
+    return BACKENDS.names()
+
+
+def _placement_names() -> List[str]:
+    from .fleet import PLACEMENTS
+
+    return PLACEMENTS.names()
+
+
+def _policy_names() -> Sequence[str]:
+    from .traces import POLICIES
+
+    return POLICIES
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -87,11 +124,13 @@ def _build_parser() -> argparse.ArgumentParser:
         sub.add_argument(
             "--backend",
             default="serial",
-            choices=sorted(BACKENDS.names()),
+            choices=_Choices(_backend_names),
+            metavar="BACKEND",
             help=(
                 "solver-execution backend for independent per-machine "
-                "solves (default: serial; every backend returns the serial "
-                "answer — the report records which one produced it)"
+                "solves: %(choices)s (default: serial; every backend "
+                "returns the serial answer — the report records which one "
+                "produced it)"
             ),
         )
         sub.add_argument(
@@ -160,8 +199,9 @@ def _build_parser() -> argparse.ArgumentParser:
     fleet.add_argument(
         "--placement",
         default=None,
-        choices=sorted(PLACEMENTS.names()),
-        help="placement strategy (default: greedy-cost)",
+        choices=_Choices(_placement_names),
+        metavar="STRATEGY",
+        help="placement strategy: %(choices)s (default: greedy-cost)",
     )
     fleet.add_argument(
         "--local-search",
@@ -220,9 +260,10 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     replay.add_argument(
         "--policy",
-        default=POLICY_DYNAMIC,
-        choices=POLICIES,
-        help="replay policy (default: dynamic)",
+        default=None,
+        choices=_Choices(_policy_names),
+        metavar="POLICY",
+        help="replay policy: %(choices)s (default: dynamic)",
     )
     add_backend_options(replay)
     add_telemetry_options(replay)
@@ -249,8 +290,12 @@ def _build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--backend",
         default="asyncio",
-        choices=sorted(BACKENDS.names()),
-        help="solver-execution backend for served solves (default: asyncio)",
+        choices=_Choices(_backend_names),
+        metavar="BACKEND",
+        help=(
+            "solver-execution backend for served solves: %(choices)s "
+            "(default: asyncio)"
+        ),
     )
     serve.add_argument(
         "--jobs",
@@ -479,6 +524,8 @@ def _emit(document: str, output: Optional[Path]) -> None:
 
 
 def _run_recommend(args: argparse.Namespace) -> str:
+    from .api import Advisor, Scenario
+
     scenario = Scenario.from_json(_read(args.scenario))
     advisor = Advisor(**scenario.advisor)
     report = advisor.recommend(scenario.build())
@@ -486,6 +533,8 @@ def _run_recommend(args: argparse.Namespace) -> str:
 
 
 def _run_fleet(args: argparse.Namespace) -> str:
+    from .fleet import PLACEMENTS, FleetAdvisor, FleetProblem
+
     problem = FleetProblem.from_json(_read(args.fleet))
     bnb_budgets = (
         args.bnb_max_nodes is not None or args.bnb_max_seconds is not None
@@ -524,15 +573,24 @@ def _run_fleet(args: argparse.Namespace) -> str:
 
 
 def _run_replay(args: argparse.Namespace) -> str:
+    from .fleet import FleetProblem
+    from .traces import (
+        POLICY_DYNAMIC,
+        FleetTraceReplayer,
+        TraceReplayer,
+        WorkloadTrace,
+    )
+
     trace = WorkloadTrace.from_json(_read(args.trace))
+    policy = args.policy if args.policy is not None else POLICY_DYNAMIC
     if args.fleet is None:
         replayer = TraceReplayer(
-            trace, policy=args.policy, backend=args.backend, jobs=args.jobs
+            trace, policy=policy, backend=args.backend, jobs=args.jobs
         )
     else:
         fleet = FleetProblem.from_json(_read(args.fleet))
         replayer = FleetTraceReplayer(
-            trace, fleet, policy=args.policy, backend=args.backend, jobs=args.jobs
+            trace, fleet, policy=policy, backend=args.backend, jobs=args.jobs
         )
     try:
         report = replayer.replay()
@@ -542,7 +600,6 @@ def _run_replay(args: argparse.Namespace) -> str:
 
 
 def _run_serve(args: argparse.Namespace) -> Optional[str]:
-    # Imported here: the serving tier is needed only by this subcommand.
     from .service import DEFAULT_HOST, DEFAULT_PORT, AdvisorService, serve
     from .service.async_api import DEFAULT_MAX_CONCURRENCY
 
@@ -602,7 +659,6 @@ def _loadgen_slo(args: argparse.Namespace) -> Optional[Any]:
 
 
 def _run_loadgen(args: argparse.Namespace) -> str:
-    # Imported here: the load generator is needed only by this subcommand.
     from .loadgen import (
         ArrivalSpec,
         LoadRunner,
@@ -610,6 +666,7 @@ def _run_loadgen(args: argparse.Namespace) -> str:
         saturation_sweep,
         schedule_from_trace,
     )
+    from .traces import WorkloadTrace
 
     if args.document is not None:
         document = json.loads(_read(args.document))

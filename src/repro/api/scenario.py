@@ -22,8 +22,9 @@ advisor service, and round-tripped losslessly:
 from __future__ import annotations
 
 import json
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
-from typing import Any, Dict, Mapping, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, Iterator, Mapping, Optional, Sequence, Tuple, Union
 
 from ..calibration import CalibrationSettings
 from ..core.problem import CPU, MEMORY, VirtualizationDesignProblem
@@ -74,6 +75,21 @@ def _normalize_options(
         key: tuple(value) if isinstance(value, (list, tuple)) else value
         for key, value in mapping.items()
     }
+
+
+@contextmanager
+def _parsing(what: str) -> Iterator[None]:
+    """Report a wrong-typed field of a ``what`` document as a configuration error.
+
+    A document's fields are read by iterating and converting them, so a
+    number where a list belongs (``{"tenants": 5}``) surfaces as a
+    ``TypeError`` or ``ValueError``; callers such as the HTTP server must
+    see the caller's mistake (a 400), not a library fault.
+    """
+    try:
+        yield
+    except (TypeError, ValueError) as error:
+        raise ConfigurationError(f"malformed {what} document: {error}") from error
 
 
 def _listify(value: Any) -> Any:
@@ -196,6 +212,7 @@ class Scenario:
     # Serialization
     # ------------------------------------------------------------------
     @classmethod
+    @_parsing("scenario")
     def from_dict(cls, data: Mapping[str, Any]) -> "Scenario":
         """Build a scenario from a plain dictionary."""
         known = {f for f in cls.__dataclass_fields__}  # noqa: C401

@@ -7,10 +7,11 @@ The seed code hard-wired concrete classes; this module extracts the
 interfaces as :class:`typing.Protocol`\\ s and provides string-keyed
 registries so :class:`repro.api.Advisor` can accept either instances or
 names (``"greedy"``, ``"exhaustive"``, ``"exhaustive-dp"``, ``"what-if"``,
-``"actual"``, ``"basic"``, ``"generalized"``), and downstream code can
-register its own strategies without touching the advisor.  The
-``"exhaustive-dp"`` search finds the same optimum as ``"exhaustive"`` via
-an exact dynamic program; the brute force is kept for cross-checking.
+``"actual"``, ``"what-if-rpc"``, ``"basic"``, ``"generalized"``), and
+downstream code can register its own strategies without touching the
+advisor.  The ``"exhaustive-dp"`` search finds the same optimum as
+``"exhaustive"`` via an exact dynamic program; the brute force is kept for
+cross-checking.
 """
 
 from __future__ import annotations
@@ -203,6 +204,25 @@ def _make_actual(
     )
 
 
+def _make_what_if_rpc(
+    problem: VirtualizationDesignProblem,
+    rpc_latency_seconds: Optional[float] = None,
+    **_ignored: Any,
+) -> CostFunction:
+    # Imported on create: the simulated-RPC estimator is a benchmarking
+    # aid that lives with the parallel backends it exercises.
+    from ..parallel.simulated import (
+        DEFAULT_RPC_LATENCY_SECONDS,
+        SimulatedRpcWhatIfEstimator,
+    )
+
+    if rpc_latency_seconds is None:
+        rpc_latency_seconds = DEFAULT_RPC_LATENCY_SECONDS
+    return SimulatedRpcWhatIfEstimator(
+        problem, rpc_latency_seconds=rpc_latency_seconds
+    )
+
+
 def _make_basic_refinement(
     problem: VirtualizationDesignProblem,
     estimator: CostFunctionLike,
@@ -236,5 +256,6 @@ ENUMERATORS.register("exhaustive", _make_exhaustive)
 ENUMERATORS.register("exhaustive-dp", _make_exhaustive_dp)
 COST_FUNCTIONS.register("what-if", _make_what_if)
 COST_FUNCTIONS.register("actual", _make_actual)
+COST_FUNCTIONS.register("what-if-rpc", _make_what_if_rpc)
 REFINEMENTS.register("basic", _make_basic_refinement)
 REFINEMENTS.register("generalized", _make_generalized_refinement)

@@ -120,6 +120,9 @@ class _Priced:
     def result(self) -> float:
         return self._cost
 
+    def discard(self) -> None:
+        """Nothing is in flight."""
+
 
 class _Tabling:
     """A missed probe's handle: records the price in the run table on collect.
@@ -141,6 +144,11 @@ class _Tabling:
         cost = self._handle.result()
         self._table[self._tenants] = cost
         return cost
+
+    def discard(self) -> None:
+        discard = getattr(self._handle, "discard", None)
+        if discard is not None:
+            discard()
 
 
 class _FleetSolver:

@@ -37,7 +37,12 @@ from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 # FleetProblem accepts the same calibration overrides as Scenario, so the
 # key whitelist is shared rather than duplicated.
-from ..api.scenario import _CALIBRATION_KEYS, TenantSpec, _normalize_options
+from ..api.scenario import (
+    _CALIBRATION_KEYS,
+    TenantSpec,
+    _normalize_options,
+    _parsing,
+)
 from ..core.problem import CPU, MEMORY, RESOURCE_NAMES
 from ..exceptions import ConfigurationError, PlacementError
 from ..virt.machine import PhysicalMachine
@@ -391,6 +396,7 @@ class FleetProblem:
     # Serialization
     # ------------------------------------------------------------------
     @classmethod
+    @_parsing("fleet")
     def from_dict(cls, data: Mapping[str, Any]) -> "FleetProblem":
         """Build a fleet problem from a plain dictionary."""
         known = set(cls.__dataclass_fields__)

@@ -228,15 +228,15 @@ def greedy_assign(
     current commit lands elsewhere.  Predictions are validated on commit
     simply by key lookup: a future round whose machine was untouched finds
     its probe already priced; a misprediction's key never matches again
-    and the stale probe is discarded (on the lazy serial handle it never
-    even executes).  Because every probe's value is a pure function of its
-    (machine, tenant set) key — allocation quantization plus the fleet
-    solve-memo — extra speculative probes can never change the chosen
-    assignment, only the wall-clock.
+    and the stale probe is discarded when the call ends, normally or by a
+    raise (cancelled if it has not started, waited for if it is running;
+    on the lazy serial handle it never even executes).  Because every
+    probe's value is a pure function of its (machine, tenant set) key —
+    allocation quantization plus the fleet solve-memo — extra speculative
+    probes can never change the chosen assignment, only the wall-clock.
     """
     batch_costs = getattr(solver, "machine_costs", None)
     submit_probe = getattr(solver, "submit_probe", None) if speculate else None
-    probes = 0
     #: In-flight speculative probes keyed by (machine, candidate tuple).
     pending: Dict[Tuple[int, Tuple[int, ...]], Any] = {}
     # One leaf span wraps the whole assignment loop: probe rounds are far
@@ -261,6 +261,12 @@ def greedy_assign(
             run_stats,
         )
     finally:
+        # Uncollected speculative probes must not outlive the call: one
+        # still running on a pool would go on solving and counting.
+        for handle in pending.values():
+            discard = getattr(handle, "discard", None)
+            if discard is not None:
+                discard()
         span.__exit__(None, None, None)
 
 

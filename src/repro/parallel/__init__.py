@@ -12,7 +12,9 @@ awaitable face (:meth:`~repro.parallel.aio.AsyncioBackend.run_async`) the
 serving tier (:mod:`repro.service`) multiplexes requests over.
 """
 
-from .aio import AsyncioBackend
+from importlib import import_module
+from typing import Any
+
 from .backends import (
     BACKENDS,
     DEFAULT_THREAD_JOBS,
@@ -24,7 +26,25 @@ from .backends import (
     ThreadBackend,
     resolve_backend,
 )
-from .simulated import DEFAULT_RPC_LATENCY_SECONDS, SimulatedRpcWhatIfEstimator
+
+#: Exports resolved on first attribute access (PEP 562): the asyncio
+#: backend pulls in :mod:`asyncio`, and the simulated-RPC estimator is a
+#: benchmarking aid; neither loads unless asked for.
+_LAZY_EXPORTS = {
+    "AsyncioBackend": ".aio",
+    "DEFAULT_RPC_LATENCY_SECONDS": ".simulated",
+    "SimulatedRpcWhatIfEstimator": ".simulated",
+}
+
+
+def __getattr__(name: str) -> Any:
+    module = _LAZY_EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(module, __name__), name)
+    globals()[name] = value
+    return value
+
 
 __all__ = [
     "AsyncioBackend",

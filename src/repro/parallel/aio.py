@@ -31,7 +31,6 @@ from typing import Any, List, Optional, Sequence
 from ..exceptions import ConfigurationError
 from ..telemetry.trace import get_tracer
 from .backends import (
-    BACKENDS,
     DEFAULT_THREAD_JOBS,
     FutureTaskHandle,
     SolveTask,
@@ -131,7 +130,3 @@ class AsyncioBackend:
 
     def __exit__(self, *exc_info: Any) -> None:
         self.close()
-
-
-if "asyncio" not in BACKENDS:
-    BACKENDS.register("asyncio", lambda jobs=None, **_ignored: AsyncioBackend(jobs=jobs))

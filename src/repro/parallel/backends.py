@@ -26,6 +26,8 @@ Backends live behind the same open
   worker function); workers rebuild the solve state from the payload — or
   inherit it when the platform forks — and return picklable results whose
   cache statistics are merged back into the caller's accounting.
+* ``"asyncio"`` — awaitable multiplexing over a bounded semaphore, for the
+  serving tier (:mod:`repro.parallel.aio`; imported when first created).
 
 A task that cannot ship across processes (e.g. a stateful dynamic-manager
 step) is *inline-only*; drivers route such tasks through
@@ -48,13 +50,29 @@ handles (correct, just without the overlap).
 from __future__ import annotations
 
 import os
-from concurrent.futures import Future, ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import Future, ThreadPoolExecutor, wait
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Protocol, Sequence, Union, runtime_checkable
+from typing import (
+    TYPE_CHECKING,
+    Any,
+    Callable,
+    Dict,
+    List,
+    Optional,
+    Protocol,
+    Sequence,
+    Union,
+    runtime_checkable,
+)
 
 from ..api.strategies import StrategyRegistry
 from ..exceptions import ConfigurationError
 from ..telemetry.trace import get_tracer
+
+if TYPE_CHECKING:
+    from concurrent.futures import ProcessPoolExecutor
+
+    from .aio import AsyncioBackend
 
 #: Default worker count when ``jobs`` is not given.  Threads overlap
 #: latency (RPC-shaped what-if calls) regardless of core count, so their
@@ -121,6 +139,9 @@ class TaskHandle:
             self._done = True
         return self._value
 
+    def discard(self) -> None:
+        """Give the result up; a lazy task that never ran never will."""
+
 
 class FutureTaskHandle(TaskHandle):
     """Handle over a :class:`concurrent.futures.Future` already running.
@@ -148,6 +169,15 @@ class FutureTaskHandle(TaskHandle):
             )
             self._done = True
         return self._value
+
+    def discard(self) -> None:
+        """Cancel the task if it has not started, else wait for it to end.
+
+        Waiting keeps a discarded task from still running — and counting —
+        after the caller that submitted it has returned.
+        """
+        if not self._done and not self._future.cancel():
+            wait((self._future,))
 
 
 @runtime_checkable
@@ -321,6 +351,10 @@ class ProcessBackend:
 
     def _ensure_pool(self) -> ProcessPoolExecutor:
         if self._pool is None:
+            # Imported here: it loads multiprocessing, which only this
+            # backend needs.
+            from concurrent.futures import ProcessPoolExecutor
+
             self._pool = ProcessPoolExecutor(max_workers=self.jobs)
         return self._pool
 
@@ -381,6 +415,17 @@ class ProcessBackend:
 BACKENDS.register("serial", lambda jobs=None, **_ignored: SerialBackend(jobs=jobs))
 BACKENDS.register("thread", lambda jobs=None, **_ignored: ThreadBackend(jobs=jobs))
 BACKENDS.register("process", lambda jobs=None, **_ignored: ProcessBackend(jobs=jobs))
+
+
+def _make_asyncio(jobs: Optional[int] = None, **_ignored: Any) -> "AsyncioBackend":
+    # Imported on create: the asyncio backend loads asyncio, which only
+    # the serving tier and callers who ask for it need.
+    from .aio import AsyncioBackend
+
+    return AsyncioBackend(jobs=jobs)
+
+
+BACKENDS.register("asyncio", _make_asyncio)
 
 
 def resolve_backend(

@@ -17,8 +17,9 @@ releasing the GIL the way a socket read would.  On top of it, the thread
 backend shows genuine wall-clock speedup even on a single-core GIL
 interpreter, which is what ``benchmarks/test_fleet_parallel.py`` asserts.
 
-Registered as ``cost_function="what-if-rpc"`` (default 2 ms latency).
-Register your own latency for experiments::
+Registered as ``cost_function="what-if-rpc"`` (default 2 ms latency) in
+:mod:`repro.api.strategies`, whose factory imports this module on first
+use.  Register your own latency for experiments::
 
     from repro.api.strategies import COST_FUNCTIONS
     COST_FUNCTIONS.register(
@@ -30,9 +31,8 @@ Register your own latency for experiments::
 from __future__ import annotations
 
 import time
-from typing import Any, List, Sequence
+from typing import List, Sequence
 
-from ..api.strategies import COST_FUNCTIONS
 from ..core.cost_estimator import WhatIfCostEstimator
 from ..core.problem import ResourceAllocation, VirtualizationDesignProblem
 
@@ -70,17 +70,3 @@ class SimulatedRpcWhatIfEstimator(WhatIfCostEstimator):
         # allocations of a cost table in a single request.
         time.sleep(self.rpc_latency_seconds)
         return WhatIfCostEstimator._cost_many(self, tenant_index, allocations)
-
-
-def _make_what_if_rpc(
-    problem: VirtualizationDesignProblem,
-    rpc_latency_seconds: float = DEFAULT_RPC_LATENCY_SECONDS,
-    **_ignored: Any,
-) -> SimulatedRpcWhatIfEstimator:
-    return SimulatedRpcWhatIfEstimator(
-        problem, rpc_latency_seconds=rpc_latency_seconds
-    )
-
-
-if "what-if-rpc" not in COST_FUNCTIONS:
-    COST_FUNCTIONS.register("what-if-rpc", _make_what_if_rpc)

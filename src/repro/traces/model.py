@@ -35,7 +35,7 @@ import json
 from dataclasses import dataclass, replace
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
-from ..api.scenario import TenantSpec, _normalize_statement
+from ..api.scenario import TenantSpec, _normalize_statement, _parsing
 from ..exceptions import ConfigurationError
 from ..workloads.workload import DEFAULT_MONITORING_INTERVAL_SECONDS
 
@@ -332,6 +332,7 @@ class WorkloadTrace:
     # Serialization
     # ------------------------------------------------------------------
     @classmethod
+    @_parsing("trace")
     def from_dict(cls, data: Mapping[str, Any]) -> "WorkloadTrace":
         """Build a workload trace from a plain dictionary."""
         known = set(cls.__dataclass_fields__)

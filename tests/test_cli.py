@@ -262,6 +262,20 @@ class TestErrorHandling:
         assert code == 2
         assert "error:" in err
 
+    @pytest.mark.parametrize("command", ["recommend", "fleet", "replay"])
+    def test_wrong_typed_field_is_a_clean_error(self, tmp_path, capsys, command):
+        path = write(tmp_path, "bad.json", {"tenants": 5})
+        code, out, err = run(capsys, [command, path])
+        assert code == 2 and out == ""
+        assert "error: malformed" in err
+
+    @pytest.mark.parametrize("flag", ["--placement", "--policy"])
+    def test_unknown_choice_is_rejected_by_argparse(self, tmp_path, capsys, flag):
+        command = "fleet" if flag == "--placement" else "replay"
+        with pytest.raises(SystemExit):
+            main([command, write(tmp_path, "doc.json", {}), flag, "nope"])
+        assert "invalid choice: 'nope'" in capsys.readouterr().err
+
     def test_unwritable_output_is_a_clean_error(self, tmp_path, capsys):
         path = write(tmp_path, "scenario.json", SCENARIO)
         code, out, err = run(

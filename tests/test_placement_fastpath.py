@@ -313,6 +313,36 @@ class TestTaskHandles:
         assert handle.result() == 6
         assert seen == [{"raw": 3}]
 
+    def test_discard_cancels_a_queued_task_and_waits_for_a_running_one(self):
+        backend = ThreadBackend(jobs=1)
+        started, release = threading.Event(), threading.Event()
+        finished = []
+
+        def running():
+            started.set()
+            release.wait()
+            finished.append("running")
+
+        try:
+            first = backend.submit(SolveTask(call=running))
+            queued = backend.submit(SolveTask(call=lambda: finished.append("queued")))
+            assert started.wait(5)
+            queued.discard()  # the single worker is busy: never started
+            timer = threading.Timer(0.05, release.set)
+            timer.start()
+            first.discard()  # must not return while the task still runs
+            assert finished == ["running"]
+            timer.join(timeout=5)
+        finally:
+            backend.close()
+        assert finished == ["running"]
+
+    def test_discarding_a_lazy_handle_never_runs_it(self):
+        calls = []
+        handle = SerialBackend().submit(SolveTask(call=lambda: calls.append(1)))
+        handle.discard()
+        assert calls == []
+
 
 # ----------------------------------------------------------------------
 # Solve-memo wired into the fleet advisor
@@ -536,6 +566,50 @@ class _CountingProbeSolver:
         return TaskHandle(call)
 
 
+class _RecordingHandle:
+    """A probe handle that records whether it was collected or discarded."""
+
+    def __init__(self, key, cost, fates, fail=False):
+        self.key = key
+        self.cost = cost
+        self.fates = fates
+        self.fail = fail
+
+    def result(self):
+        self.fates.append(("collected", self.key))
+        if self.fail:
+            raise OptimizationError(f"probe {self.key} failed")
+        return self.cost
+
+    def discard(self):
+        self.fates.append(("discarded", self.key))
+
+
+class _RecordingProbeSolver:
+    """Prices a machine by its tenant count; records every handle's fate."""
+
+    def __init__(self, fail_key=None):
+        self.fail_key = fail_key
+        self.submitted = []
+        self.fates = []
+
+    def fits(self, machine_index, tenant_indices):
+        return len(tenant_indices) <= 3
+
+    def machine_cost(self, machine_index, tenant_indices):
+        return float(len(tenant_indices) ** 2 + machine_index)
+
+    def submit_probe(self, machine_index, tenant_indices):
+        key = (machine_index, tenant_indices)
+        self.submitted.append(key)
+        return _RecordingHandle(
+            key,
+            self.machine_cost(machine_index, tenant_indices),
+            self.fates,
+            fail=key == self.fail_key,
+        )
+
+
 class _MinimalSolver:
     """A custom PlacementSolver with only the required protocol surface."""
 
@@ -566,6 +640,30 @@ class TestSpeculativeProbing:
         # only the probes the selection actually consumed ever ran.
         assert solver.submitted > solver.executed
         assert solver.executed > 0
+
+    def test_every_speculative_probe_is_collected_or_discarded(self):
+        problem = small_fleet(n_tenants=5, n_machines=3)
+        solver = _RecordingProbeSolver()
+        GreedyCostPlacement(speculate=True).place(problem, solver)
+        fates = dict((key, fate) for fate, key in solver.fates)
+        assert len(solver.fates) == len(fates)  # no handle met two fates
+        assert sorted(fates) == sorted(solver.submitted)
+        assert "discarded" in fates.values()  # speculation over-submitted
+        assert "collected" in fates.values()
+
+    def test_leftover_probes_are_discarded_when_placement_raises(self):
+        problem = small_fleet(n_tenants=5, n_machines=3)
+        reference = _RecordingProbeSolver()
+        GreedyCostPlacement(speculate=True).place(problem, reference)
+        collected = [key for fate, key in reference.fates if fate == "collected"]
+        # Fail a mid-run collection while later rounds are in flight.
+        solver = _RecordingProbeSolver(fail_key=collected[len(collected) // 2])
+        with pytest.raises(OptimizationError):
+            GreedyCostPlacement(speculate=True).place(problem, solver)
+        fates = dict((key, fate) for fate, key in solver.fates)
+        assert len(solver.fates) == len(fates)
+        assert sorted(fates) == sorted(solver.submitted)
+        assert "discarded" in fates.values()
 
     def test_spec_name_and_registry(self):
         assert GreedyCostPlacement(speculate=True).name == "greedy-cost-spec"

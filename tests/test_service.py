@@ -496,6 +496,20 @@ class TestHTTPServer:
         )
         assert code == 400 and "bogus" in body["error"]
 
+    @pytest.mark.parametrize("path", ["/recommend", "/fleet", "/replay"])
+    @pytest.mark.parametrize("tenants", [5, [5], [{"name": "t", "statements": 5}]])
+    def test_wrong_typed_field_is_400(self, server, path, tenants):
+        before = served_count(server, path, 400)
+        errors = served_count(server, path, 500)
+        document = {"tenants": tenants}
+        if path == "/fleet":
+            document["machines"] = [{"name": "m1"}]
+        code, body = error_of(lambda: post(server, path, document))
+        assert code == 400
+        assert "malformed" in body["error"]
+        assert served_count(server, path, 400) == before + 1
+        assert served_count(server, path, 500) == errors
+
     def test_empty_body_is_400(self, server):
         request = urllib.request.Request(server.url + "/recommend", data=b"")
         code, body = error_of(lambda: urllib.request.urlopen(request, timeout=30))
