@@ -79,12 +79,6 @@ def _serial_vs_thread():
     return serial_report, serial_seconds, thread_report, thread_seconds
 
 
-def _serial_vs_asyncio():
-    serial_report, serial_seconds = _solve_cold("serial", 1)
-    asyncio_report, asyncio_seconds = _solve_cold("asyncio", JOBS)
-    return serial_report, serial_seconds, asyncio_report, asyncio_seconds
-
-
 def test_fleet_parallel_thread_beats_serial(benchmark):
     serial_report, serial_seconds, thread_report, thread_seconds = run_once(
         benchmark, _serial_vs_thread
@@ -105,25 +99,3 @@ def test_fleet_parallel_thread_beats_serial(benchmark):
     # ... that does not change the answer by a single bit.
     assert thread_report.canonical_dict() == serial_report.canonical_dict()
     assert thread_report.backend == "thread" and thread_report.jobs == JOBS
-
-
-def test_fleet_parallel_asyncio_beats_serial(benchmark):
-    serial_report, serial_seconds, asyncio_report, asyncio_seconds = run_once(
-        benchmark, _serial_vs_asyncio
-    )
-
-    speedup = serial_seconds / asyncio_seconds if asyncio_seconds > 0 else float("inf")
-    print(
-        f"\nAsync fleet solve — {N_TENANTS} tenants × {N_MACHINES} machines, "
-        f"{RPC_LATENCY_SECONDS * 1000:.0f} ms simulated optimizer RPC:\n"
-        f"  serial           {serial_seconds:.3f} s "
-        f"({serial_report.cost_stats.evaluations} evaluations)\n"
-        f"  asyncio (jobs={JOBS}) {asyncio_seconds:.3f} s  → {speedup:.2f}x"
-    )
-
-    # The serving tier's backend overlaps the same RPC-shaped latency by
-    # multiplexing batch evaluations over a bounded semaphore ...
-    assert asyncio_seconds < serial_seconds * SPEEDUP_GATE
-    # ... while staying on the determinism contract.
-    assert asyncio_report.canonical_dict() == serial_report.canonical_dict()
-    assert asyncio_report.backend == "asyncio" and asyncio_report.jobs == JOBS

@@ -101,7 +101,7 @@ def main() -> int:
 
     server = subprocess.Popen(
         [sys.executable, "-m", "repro", "serve", "--port", "0",
-         "--backend", "asyncio", "--jobs", "4"],
+         "--backend", "thread", "--jobs", "4"],
         stderr=subprocess.PIPE,
         text=True,
     )

@@ -25,9 +25,8 @@ The package provides:
   :class:`~repro.traces.FleetTraceReplayer` driving dynamic reconfiguration
   and incremental fleet re-placement (:mod:`repro.traces`),
 * the parallel solver-execution subsystem — pluggable ``serial`` /
-  ``thread`` / ``process`` / ``asyncio`` backends fanning independent
-  per-machine solves out while returning the serial answer bit for bit
-  (:mod:`repro.parallel`),
+  ``thread`` backends fanning independent per-machine solves out while
+  returning the serial answer bit for bit (:mod:`repro.parallel`),
 * the serving tier — :class:`~repro.service.AdvisorService` hosting the
   advisor for concurrent callers over one process-wide cost-cache pool,
   awaitable :class:`~repro.service.AsyncAdvisor` /
@@ -103,8 +102,6 @@ _EXPORTS = {
     "FleetTenant": ".fleet",
     "Machine": ".fleet",
     "BACKENDS": ".parallel",
-    "AsyncioBackend": ".parallel",
-    "ProcessBackend": ".parallel",
     "SerialBackend": ".parallel",
     "SolverBackend": ".parallel",
     "ThreadBackend": ".parallel",
@@ -148,7 +145,6 @@ __all__ = [
     "AdvisorService",
     "AsyncAdvisor",
     "AsyncFleetAdvisor",
-    "AsyncioBackend",
     "BACKENDS",
     "CalibrationSettings",
     "ConsolidatedWorkload",
@@ -163,7 +159,6 @@ __all__ = [
     "PhysicalMachine",
     "PostgreSQLEngine",
     "ProblemBuilder",
-    "ProcessBackend",
     "Recommendation",
     "RecommendationReport",
     "ReplayReport",

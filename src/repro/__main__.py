@@ -32,7 +32,7 @@ document and writing the corresponding JSON report to stdout (or a file):
 
 The ``fleet`` and ``replay`` subcommands accept ``--backend`` /
 ``--jobs`` to fan independent per-machine solves out on a solver-execution
-backend (``serial`` / ``thread`` / ``process`` / ``asyncio``); every
+backend (``serial`` / ``thread``); every
 backend returns the serial answer, and the emitted report records which
 backend produced it.  Input paths accept ``-`` to read the JSON document
 from stdin, and ``--version`` reports the package version.
@@ -289,12 +289,12 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--backend",
-        default="asyncio",
+        default="thread",
         choices=_Choices(_backend_names),
         metavar="BACKEND",
         help=(
             "solver-execution backend for served solves: %(choices)s "
-            "(default: asyncio)"
+            "(default: thread)"
         ),
     )
     serve.add_argument(

@@ -243,34 +243,29 @@ class Advisor:
             self._cost_functions.clear()
 
     def portable_config(self) -> Dict[str, Any]:
-        """The advisor's configuration as a picklable keyword dictionary.
+        """The advisor's configuration as a keyword dictionary of plain values.
 
         ``Advisor(**advisor.portable_config())`` builds an equivalent
-        advisor in another process — the contract the process solver
-        backend relies on to rebuild solve state from a task payload.
-        Only registry *names* travel; an advisor configured with strategy
-        instances cannot be shipped and is rejected with a pointer at the
-        thread backend (which shares the instances in-process).
+        advisor, and two advisors with equal configurations answer every
+        question identically — which is why the fleet solve-memo keys its
+        entries by this value.  Only registry *names* describe a strategy
+        by value; an advisor configured with strategy instances is rejected.
         """
         if not isinstance(self._cost_function_spec, str):
             raise ConfigurationError(
-                "this advisor uses a cost-function instance, which cannot be "
-                "shipped to worker processes; use a registered cost-function "
-                "name, or the thread/serial backend"
+                "this advisor uses a cost-function instance, which has no "
+                "portable configuration; use a registered cost-function name"
             )
         if self._cost_function_spec not in COST_FUNCTIONS:
             raise ConfigurationError(
                 f"this advisor's cost function "
                 f"({self._cost_function_spec!r}) is not a registered strategy "
-                f"name, so it cannot be shipped to worker processes; register "
-                f"it first, or use the thread/serial backend"
+                f"name; register it first"
             )
         if self._enumerator_name not in ENUMERATORS:
             raise ConfigurationError(
                 f"this advisor's enumerator ({self._enumerator_name}) is not "
-                f"a registered strategy name, so it cannot be shipped to "
-                f"worker processes; use a registered enumerator name, or the "
-                f"thread/serial backend"
+                f"a registered strategy name; use a registered enumerator name"
             )
         return {
             "enumerator": self._enumerator_name,

@@ -24,7 +24,7 @@ from __future__ import annotations
 import json
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
-from typing import Any, Dict, Iterator, Mapping, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, Dict, Iterator, Mapping, Optional, Sequence, Tuple, Union
 
 from ..calibration import CalibrationSettings
 from ..core.problem import CPU, MEMORY, VirtualizationDesignProblem
@@ -32,37 +32,66 @@ from ..exceptions import ConfigurationError
 from ..virt.machine import PhysicalMachine
 from .builder import ProblemBuilder, _normalize_statement
 
-#: Machine-spec keys accepted by :class:`Scenario` (scalar fields of
-#: :class:`~repro.virt.machine.PhysicalMachine`; the disk profile keeps its
-#: defaults — model it in code if you need a custom one).
-_MACHINE_KEYS = ("name", "cpu_work_units_per_second", "memory_mb", "cpu_cores")
+def _is_number(value: Any) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+#: The kinds of value an option takes: (description, check).
+_NUMBER = ("a number", _is_number)
+_NUMBERS = (
+    "a list of numbers",
+    lambda value: isinstance(value, (list, tuple)) and all(map(_is_number, value)),
+)
+_NAME = ("a name string", lambda value: isinstance(value, str))
+_OPTIONAL_NAME = (
+    "a name string or null",
+    lambda value: value is None or isinstance(value, str),
+)
+
+#: Machine-spec keys accepted by :class:`Scenario`, with the kind of value
+#: each takes (scalar fields of :class:`~repro.virt.machine.PhysicalMachine`;
+#: the disk profile keeps its defaults — model it in code if you need a
+#: custom one).
+_MACHINE_KEYS = {
+    "name": _NAME,
+    "cpu_work_units_per_second": _NUMBER,
+    "memory_mb": _NUMBER,
+    "cpu_cores": _NUMBER,
+}
 
 #: Calibration-spec keys accepted by :class:`Scenario`.
-_CALIBRATION_KEYS = (
-    "cpu_shares",
-    "memory_fraction",
-    "io_cpu_share",
-    "os_reserved_mb",
-    "io_contention_intensity",
-)
+_CALIBRATION_KEYS = {
+    "cpu_shares": _NUMBERS,
+    "memory_fraction": _NUMBER,
+    "io_cpu_share": _NUMBER,
+    "os_reserved_mb": _NUMBER,
+    "io_contention_intensity": _NUMBER,
+}
 
 #: Advisor-option keys accepted by :class:`Scenario` (the keyword arguments
-#: of :class:`repro.api.Advisor`).
-_ADVISOR_KEYS = (
-    "enumerator",
-    "cost_function",
-    "refinement",
-    "delta",
-    "min_share",
-    "max_iterations",
-    "max_combinations",
-)
+#: of :class:`repro.api.Advisor`; strategies go by registry name).
+_ADVISOR_KEYS = {
+    "enumerator": _NAME,
+    "cost_function": _NAME,
+    "refinement": _OPTIONAL_NAME,
+    "delta": _NUMBER,
+    "min_share": _NUMBER,
+    "max_iterations": _NUMBER,
+    "max_combinations": _NUMBER,
+}
 
 
 def _normalize_options(
-    mapping: Optional[Mapping[str, Any]], allowed: Sequence[str], what: str
+    mapping: Optional[Mapping[str, Any]],
+    allowed: Mapping[str, Tuple[str, Callable[[Any], bool]]],
+    what: str,
 ) -> Optional[Dict[str, Any]]:
-    """Validate and canonicalize an options mapping (lists become tuples)."""
+    """Validate and canonicalize an options mapping (lists become tuples).
+
+    Every value is checked against its key's kind here, when the document
+    is read: a wrong-typed value would otherwise surface as a bare
+    ``TypeError`` / ``ValueError`` only once the option is used.
+    """
     if mapping is None:
         return None
     unknown = sorted(set(mapping) - set(allowed))
@@ -71,6 +100,12 @@ def _normalize_options(
             f"unknown {what} option(s) {', '.join(map(repr, unknown))}; "
             f"expected a subset of {', '.join(allowed)}"
         )
+    for key, value in mapping.items():
+        description, check = allowed[key]
+        if not check(value):
+            raise ConfigurationError(
+                f"{what} option {key!r} must be {description}, got {value!r}"
+            )
     return {
         key: tuple(value) if isinstance(value, (list, tuple)) else value
         for key, value in mapping.items()

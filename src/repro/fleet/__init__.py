@@ -6,9 +6,8 @@ package adds the layer above it for a machine *fleet*:
 * :class:`Machine`, :class:`FleetTenant`, :class:`FleetProblem` — the
   declarative, JSON round-trippable data model of "which tenants, which
   machines, what capacities" (:mod:`repro.fleet.problem`).
-* :data:`PLACEMENTS` and the built-in strategies — ``"greedy-cost"`` (and
-  its speculative twin ``"greedy-cost-spec"``), ``"greedy-cost+ls"`` (the
-  local-search improver), ``"bnb-fleet"`` (exact branch and bound at
+* :data:`PLACEMENTS` and the built-in strategies — ``"greedy-cost"``,
+  ``"greedy-cost+ls"`` (the local-search improver), ``"bnb-fleet"`` (exact branch and bound at
   paper-sized fleets, :mod:`repro.fleet.bnb`), ``"exhaustive-fleet"``
   (the exact small-fleet baseline), ``"round-robin"``, ``"first-fit"`` —
   behind the same open registry pattern as the per-machine strategies

@@ -31,12 +31,11 @@ per-machine solve through the inner advisor's shared
 
 from __future__ import annotations
 
-import hashlib
-import json
 import math
 import threading
 import time
 from collections import OrderedDict
+from functools import partial
 from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
 from ..api.advisor import Advisor
@@ -45,15 +44,7 @@ from ..api.report import CostCallStats, RecommendationReport
 from ..calibration import CalibrationSettings
 from ..core.problem import ConsolidatedWorkload, VirtualizationDesignProblem
 from ..exceptions import ConfigurationError, OptimizationError, PlacementError
-from ..parallel import worker as _worker
-from ..parallel.backends import (
-    BACKENDS,
-    BackendSpec,
-    SolveTask,
-    SolverBackend,
-    TaskHandle,
-    resolve_backend,
-)
+from ..parallel.backends import BACKENDS, BackendSpec, SolverBackend, resolve_backend
 from ..telemetry.instruments import PLACEMENT_PROBES, PROBE_LATENCY
 from ..telemetry.trace import get_tracer
 from .bnb import symmetry_classes
@@ -109,48 +100,6 @@ def _intern(keys: Iterable[Any]) -> List[int]:
     return [ids.setdefault(key, len(ids)) for key in keys]
 
 
-class _Priced:
-    """An already-resolved probe handle: a run-table hit."""
-
-    __slots__ = ("_cost",)
-
-    def __init__(self, cost: float) -> None:
-        self._cost = cost
-
-    def result(self) -> float:
-        return self._cost
-
-    def discard(self) -> None:
-        """Nothing is in flight."""
-
-
-class _Tabling:
-    """A missed probe's handle: records the price in the run table on collect.
-
-    ``result()`` always runs in the thread driving the placement, so the
-    run table is never written from a backend worker.
-    """
-
-    __slots__ = ("_handle", "_table", "_tenants")
-
-    def __init__(
-        self, handle: Any, table: Dict[Tuple[int, ...], float], tenants: Tuple[int, ...]
-    ) -> None:
-        self._handle = handle
-        self._table = table
-        self._tenants = tenants
-
-    def result(self) -> float:
-        cost = self._handle.result()
-        self._table[self._tenants] = cost
-        return cost
-
-    def discard(self) -> None:
-        discard = getattr(self._handle, "discard", None)
-        if discard is not None:
-            discard()
-
-
 class _FleetSolver:
     """Prices candidate co-locations for one fleet problem.
 
@@ -164,13 +113,13 @@ class _FleetSolver:
     Pricing goes run table → solve-memo → advisor.  The solver is one
     object per placement run, and within a run a probe's price depends
     only on the machine's hardware shape and the tenant set, so
-    :meth:`machine_cost`, :meth:`machine_costs` and :meth:`submit_probe`
-    first look in a plain per-shape dict (``+inf`` records an infeasible
-    co-location); :meth:`fits` verdicts are tabled the same way per
-    symmetry class (hardware shape and tenant cap).  Only misses become
-    backend tasks, which run the uncached pricing body and so never write
-    the table.  Table hits are tallied in plain ints and folded once —
-    when :attr:`stats` is read and on :meth:`release` — into
+    :meth:`machine_cost` and :meth:`machine_costs` first look in a plain
+    per-shape dict (``+inf`` records an infeasible co-location);
+    :meth:`fits` verdicts are tabled the same way per symmetry class
+    (hardware shape and tenant cap).  Only misses become backend tasks,
+    which run the uncached pricing body and so never write the table.
+    Table hits are tallied in plain ints and folded once — when
+    :attr:`stats` is read and on :meth:`release` — into
     ``placement_solve_hits``, the solve-memo's hit counter, and the probe
     metrics, so every counter reads as if each hit had been a memo hit.
 
@@ -209,12 +158,6 @@ class _FleetSolver:
         self._unfolded_hits = 0
         self._unfolded_infeasible = 0
         self._unfolded_seconds = 0.0
-        # Worker processes keep their own memo and metrics; only the cost
-        # statistics of a process-backend run are the parent's to fold.
-        self._in_process = not getattr(self.backend, "requires_portable_tasks", False)
-        #: Shared pieces of the process-backend task payloads, built on
-        #: first use (they require a fully *portable* advisor config).
-        self._portable_base: Optional[Dict[str, Any]] = None
         # The bound must come from the enumerator that will actually divide
         # the machine: an instance-supplied enumerator may use a coarser
         # min_share than the advisor-level knob, and grid searches quantize
@@ -293,7 +236,7 @@ class _FleetSolver:
                     )
             seconds = time.perf_counter() - started
             priced = self.backend.run([
-                self._task(machine_index, tenant_indices, probe=True)
+                partial(self._price, machine_index, tenant_indices)
                 for (_shape, tenant_indices), machine_index in misses.items()
             ])
             for (shape, tenant_indices), cost in zip(misses, priced):
@@ -311,30 +254,6 @@ class _FleetSolver:
         if hits:
             self._count_hits(hits, infeasible, seconds)
         return costs
-
-    def submit_probe(self, machine_index: int, tenant_indices: Tuple[int, ...]):
-        """Enqueue one probe now; collect its cost from the handle later.
-
-        The primitive behind speculative pipelined probing (see
-        :func:`~repro.fleet.strategies.greedy_assign`): probes for future
-        decision rounds keep the backend's pool saturated while the caller
-        blocks only on the current round.  A run-table hit returns an
-        already-resolved handle.  On backends without ``submit`` (and on
-        the serial backend, whose ``submit`` is deliberately lazy) a miss's
-        handle computes on first ``result()`` call, so speculation never
-        costs more than the non-speculative path.
-        """
-        started = time.perf_counter()
-        table = self._prices[self._shape_of[machine_index]]
-        cost = table.get(tenant_indices)
-        if cost is not None:
-            self._count_hits(1, cost == math.inf, time.perf_counter() - started)
-            return _Priced(cost)
-        self.solves += 1
-        task = self._task(machine_index, tenant_indices, probe=True)
-        submit = getattr(self.backend, "submit", None)
-        handle = TaskHandle(task.call) if submit is None else submit(task)
-        return _Tabling(handle, table, tenant_indices)
 
     # ------------------------------------------------------------------
     # Run-table accounting
@@ -375,10 +294,9 @@ class _FleetSolver:
                     placement_solve_hits=feasible,
                 )
             )
-        if self._in_process:
-            self.fleet_advisor.solve_memo.count_hits(hits)
-            PLACEMENT_PROBES.inc(hits)
-            PROBE_LATENCY.observe_many(mean_seconds, hits)
+        self.fleet_advisor.solve_memo.count_hits(hits)
+        PLACEMENT_PROBES.inc(hits)
+        PROBE_LATENCY.observe_many(mean_seconds, hits)
 
     # ------------------------------------------------------------------
     # Per-machine solves
@@ -412,14 +330,13 @@ class _FleetSolver:
         self, targets: Sequence[Tuple[int, Tuple[int, ...]]]
     ) -> List[Tuple[RecommendationReport, float]]:
         """Solve several machines' divisions, fanned out on the backend."""
-        tasks = [
-            self._task(machine_index, tenant_indices, probe=False)
+        return self.backend.run([
+            partial(self.solve, machine_index, tenant_indices)
             for machine_index, tenant_indices in targets
-        ]
-        return self.backend.run(tasks)
+        ])
 
     # ------------------------------------------------------------------
-    # Backend plumbing
+    # Pricing internals
     # ------------------------------------------------------------------
     def _add_stats(self, stats: CostCallStats) -> None:
         with self._stats_lock:
@@ -437,92 +354,9 @@ class _FleetSolver:
             PLACEMENT_PROBES.inc()
         return weighted
 
-    def _task(
-        self, machine_index: int, tenant_indices: Tuple[int, ...], probe: bool
-    ) -> SolveTask:
-        """One solve/probe as a backend task (portable when it can be)."""
-        machine_name = self.problem.machines[machine_index].name
-        if probe:
-            call = lambda: self._price(machine_index, tenant_indices)  # noqa: E731
-            worker_fn: Any = _worker.probe_machine
-            reassemble: Any = self._reassemble_probe
-        else:
-            call = lambda: self.solve(machine_index, tenant_indices)  # noqa: E731
-            worker_fn = _worker.solve_machine
-            reassemble = self._reassemble_solve
-        payload: Optional[Dict[str, Any]] = None
-        if getattr(self.backend, "requires_portable_tasks", False):
-            tracer = get_tracer()
-            current = tracer.current
-            payload = {
-                **self._portable(),
-                "machine_index": machine_index,
-                "tenant_indices": tuple(sorted(tenant_indices)),
-                # Workers record their own span subtree and ship it back
-                # with the result — but only when the submitting context
-                # would record a span itself (tracing on, not inside a
-                # suppressing leaf region).
-                "trace": bool(
-                    tracer.enabled and current is not None and not current.leaf
-                ),
-            }
-        return SolveTask(
-            call=call,
-            worker=worker_fn if payload is not None else None,
-            payload=payload,
-            reassemble=reassemble,
-            label=f"{'probe' if probe else 'solve'}:{machine_name}",
-        )
-
-    def _portable(self) -> Dict[str, Any]:
-        """Shared payload pieces; also publishes fork-inheritable state.
-
-        The run *token* is a value digest of (problem, advisor config), so
-        equal runs share worker-side state and unequal runs can never
-        collide.  Raises :class:`~repro.exceptions.ConfigurationError` with
-        the actual blocker when the inner advisor cannot be shipped (e.g.
-        it was configured with strategy instances).
-        """
-        if self._portable_base is None:
-            config = self.fleet_advisor.advisor.portable_config()
-            problem_dict = self.problem.to_dict()
-            token = hashlib.sha1(
-                json.dumps(
-                    {"problem": problem_dict, "advisor": config}, sort_keys=True
-                ).encode("utf-8")
-            ).hexdigest()
-            _worker.publish_state(token, self.fleet_advisor, self.problem)
-            self._portable_base = {
-                "token": token,
-                "problem": problem_dict,
-                "advisor": config,
-            }
-        return self._portable_base
-
     def release(self) -> None:
-        """Fold the last table hits and withdraw fork-published state.
-
-        Workers that already forked keep their own memoized copy (keyed by
-        the run token), so withdrawing only drops the parent-side pin that
-        would otherwise keep the advisor and problem alive in
-        :mod:`repro.parallel.worker` after the run.
-        """
+        """Fold the table hits not yet reported into the shared counters."""
         self._fold_table_hits()
-        if self._portable_base is not None:
-            _worker.withdraw_state(self._portable_base["token"])
-
-    def _reassemble_probe(self, raw: Mapping[str, Any]) -> float:
-        if raw["stats"] is not None:
-            self._add_stats(CostCallStats.from_dict(raw["stats"]))
-        get_tracer().graft(raw.get("spans"))
-        return math.inf if raw["weighted"] is None else raw["weighted"]
-
-    def _reassemble_solve(
-        self, raw: Mapping[str, Any]
-    ) -> Tuple[RecommendationReport, float]:
-        self._add_stats(CostCallStats.from_dict(raw["stats"]))
-        get_tracer().graft(raw.get("spans"))
-        return RecommendationReport.from_dict(raw["report"]), raw["weighted"]
 
 
 class FleetAdvisor:
@@ -539,7 +373,7 @@ class FleetAdvisor:
         backend: the solver-execution backend independent per-machine
             solves and placement probes fan out on — a name registered in
             :data:`~repro.parallel.backends.BACKENDS` (``"serial"``,
-            ``"thread"``, ``"process"``) or a
+            ``"thread"``) or a
             :class:`~repro.parallel.backends.SolverBackend` instance.
             Every backend returns the serial answer (see
             :meth:`~repro.fleet.report.FleetReport.canonical_dict`).
@@ -723,10 +557,9 @@ class FleetAdvisor:
         """A hashable token for the inner advisor's configuration.
 
         Part of every solve-memo key, so results can never be served
-        across differently configured advisors (the worker-side advisors
-        of the process backend are memoized per config and share one memo
-        semantics).  Instance-configured advisors fall back to an identity
-        token — correct for this advisor's lifetime, never shareable.
+        across differently configured advisors.  Instance-configured
+        advisors fall back to an identity token — correct for this
+        advisor's lifetime, never shareable.
         """
         if self._solve_token is None:
             try:
@@ -812,8 +645,8 @@ class FleetAdvisor:
 
         A per-call override (name or instance) is resolved fresh; a backend
         this advisor created from a *name* for one call is closed when the
-        call finishes (it may hold worker processes), which the ``owned``
-        flag signals to the caller.
+        call finishes (it may hold pool threads), which the ``owned`` flag
+        signals to the caller.
         """
         if backend is None and jobs is None:
             return self.backend, False

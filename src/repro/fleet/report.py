@@ -94,7 +94,7 @@ class FleetReport:
             backend-invariant (see :meth:`canonical_dict`).
         wall_time_seconds: wall-clock time of the whole recommendation.
         backend: the solver-execution backend that produced the report
-            (``"serial"`` / ``"thread"`` / ``"process"``, or a custom
+            (``"serial"`` / ``"thread"``, or a custom
             backend's name) — provenance, not part of the answer.
         jobs: the backend's worker count.
         placement_provenance: the placement strategy's own account of how

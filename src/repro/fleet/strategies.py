@@ -40,11 +40,6 @@ from ..exceptions import ConfigurationError, PlacementError
 from ..telemetry.trace import get_tracer
 from .problem import FleetProblem
 
-#: How many future tenants' probe rounds the speculative mode pre-prices.
-#: With M machines per round, lookahead L keeps ~M·(L+1) probes in flight;
-#: 2 saturates the default thread width (4–8 jobs) on typical fleets.
-DEFAULT_LOOKAHEAD = 2
-
 
 @runtime_checkable
 class PlacementSolver(Protocol):
@@ -102,9 +97,7 @@ class PlacementRunStats:
     and reports agree on what ran, whichever strategy placed the fleet.
 
     ``probes`` counts candidate co-locations the strategy asked the
-    solver to price (speculative submissions included — on the lazy
-    serial handle a mispredicted probe may never execute, but it was
-    part of this run's search).
+    solver to price.
     """
 
     strategy: str
@@ -200,6 +193,19 @@ class FirstFitPlacement:
         return _place_in_machine_order(problem, solver, lambda tenant_index: 0)
 
 
+def _price_candidates(
+    solver: PlacementSolver, candidates: Sequence[Tuple[int, Tuple[int, ...]]]
+) -> List[float]:
+    """Batch-price candidates, falling back to a machine_cost loop."""
+    batch_costs = getattr(solver, "machine_costs", None)
+    if batch_costs is not None:
+        return batch_costs(candidates)
+    return [
+        solver.machine_cost(machine_index, candidate)
+        for machine_index, candidate in candidates
+    ]
+
+
 def greedy_assign(
     problem: FleetProblem,
     solver: PlacementSolver,
@@ -207,8 +213,6 @@ def greedy_assign(
     assignment: List[Optional[int]],
     loads: List[List[int]],
     current_cost: List[float],
-    speculate: bool = False,
-    lookahead: int = DEFAULT_LOOKAHEAD,
     run_stats: Optional[Dict[str, Any]] = None,
 ) -> Tuple[int, ...]:
     """Greedily commit each tenant in ``order`` to its cheapest machine.
@@ -220,123 +224,41 @@ def greedy_assign(
     gain-weighted cost increase is smallest (ties break toward the
     lower-index machine).  All three state arguments are mutated in place;
     the completed assignment is returned.
-
-    With ``speculate=True`` (and a solver offering ``submit_probe``) the
-    per-tenant probe rounds are *pipelined*: while the current tenant's
-    probes resolve, probes for the next ``lookahead`` tenants are already
-    submitted against the loads as they stand — the prediction that the
-    current commit lands elsewhere.  Predictions are validated on commit
-    simply by key lookup: a future round whose machine was untouched finds
-    its probe already priced; a misprediction's key never matches again
-    and the stale probe is discarded when the call ends, normally or by a
-    raise (cancelled if it has not started, waited for if it is running;
-    on the lazy serial handle it never even executes).  Because every
-    probe's value is a pure function of its (machine, tenant set) key —
-    allocation quantization plus the fleet solve-memo — extra speculative
-    probes can never change the chosen assignment, only the wall-clock.
     """
-    batch_costs = getattr(solver, "machine_costs", None)
-    submit_probe = getattr(solver, "submit_probe", None) if speculate else None
-    #: In-flight speculative probes keyed by (machine, candidate tuple).
-    pending: Dict[Tuple[int, Tuple[int, ...]], Any] = {}
+    probes = 0
     # One leaf span wraps the whole assignment loop: probe rounds are far
     # too hot for per-probe spans, so commits are recorded as events.
-    span = get_tracer().span(
-        "greedy.assign", leaf=True, tenants=len(order), speculate=bool(submit_probe)
-    )
-    span.__enter__()
-    try:
-        return _greedy_assign_body(
-            problem,
-            solver,
-            order,
-            assignment,
-            loads,
-            current_cost,
-            lookahead,
-            batch_costs,
-            submit_probe,
-            pending,
-            span,
-            run_stats,
-        )
-    finally:
-        # Uncollected speculative probes must not outlive the call: one
-        # still running on a pool would go on solving and counting.
-        for handle in pending.values():
-            discard = getattr(handle, "discard", None)
-            if discard is not None:
-                discard()
-        span.__exit__(None, None, None)
-
-
-def _greedy_assign_body(
-    problem: FleetProblem,
-    solver: PlacementSolver,
-    order: List[int],
-    assignment: List[Optional[int]],
-    loads: List[List[int]],
-    current_cost: List[float],
-    lookahead: int,
-    batch_costs: Any,
-    submit_probe: Any,
-    pending: Dict[Tuple[int, Tuple[int, ...]], Any],
-    span: Any,
-    run_stats: Optional[Dict[str, Any]],
-) -> Tuple[int, ...]:
-    probes = 0
-    for position, tenant_index in enumerate(order):
-        # The candidate machines of one tenant are priced as a batch: on a
-        # parallel solver backend the probes fan out, and because costs
-        # come back aligned with the (ascending-machine-index) candidate
-        # list, the selection below — including the 1e-12 tie-break toward
-        # the lower-index machine — is identical to the serial loop's.
-        fitting: List[Tuple[int, Tuple[int, ...]]] = []
-        for machine_index in range(problem.n_machines):
-            candidate = tuple(loads[machine_index] + [tenant_index])
-            if solver.fits(machine_index, candidate):
-                fitting.append((machine_index, candidate))
-        if submit_probe is not None:
-            for key in fitting:
-                if key not in pending:
-                    pending[key] = submit_probe(*key)
-                    probes += 1
-            # Speculation: submit the next rounds' probes before blocking
-            # on this round's, predicting that the machines they target
-            # are left untouched by the intervening commits.
-            for ahead in order[position + 1 : position + 1 + max(0, lookahead)]:
-                for machine_index in range(problem.n_machines):
-                    speculative = tuple(loads[machine_index] + [ahead])
-                    key = (machine_index, speculative)
-                    if key not in pending and solver.fits(machine_index, speculative):
-                        pending[key] = submit_probe(machine_index, speculative)
-                        probes += 1
-            costs = [pending.pop(key).result() for key in fitting]
-        elif batch_costs is not None:
-            costs = batch_costs(fitting)
+    with get_tracer().span("greedy.assign", leaf=True, tenants=len(order)) as span:
+        for tenant_index in order:
+            # The candidate machines of one tenant are priced as a batch:
+            # on a parallel solver backend the probes fan out, and because
+            # costs come back aligned with the (ascending-machine-index)
+            # candidate list, the selection below — including the 1e-12
+            # tie-break toward the lower-index machine — is identical to
+            # the serial loop's.
+            fitting: List[Tuple[int, Tuple[int, ...]]] = []
+            for machine_index in range(problem.n_machines):
+                candidate = tuple(loads[machine_index] + [tenant_index])
+                if solver.fits(machine_index, candidate):
+                    fitting.append((machine_index, candidate))
+            costs = _price_candidates(solver, fitting)
             probes += len(fitting)
-        else:
-            costs = [
-                solver.machine_cost(machine_index, candidate)
-                for machine_index, candidate in fitting
-            ]
-            probes += len(fitting)
-        best_machine: Optional[int] = None
-        best_increase = float("inf")
-        best_cost = 0.0
-        for (machine_index, _candidate), cost in zip(fitting, costs):
-            increase = cost - current_cost[machine_index]
-            if increase < best_increase - 1e-12:
-                best_machine = machine_index
-                best_increase = increase
-                best_cost = cost
-        if best_machine is None:
-            raise _unplaceable(problem, tenant_index, qos_blocked=bool(fitting))
-        loads[best_machine].append(tenant_index)
-        current_cost[best_machine] = best_cost
-        assignment[tenant_index] = best_machine
-        span.event("commit", tenant=tenant_index, machine=best_machine)
-    span.set_attribute("probes", probes)
+            best_machine: Optional[int] = None
+            best_increase = float("inf")
+            best_cost = 0.0
+            for (machine_index, _candidate), cost in zip(fitting, costs):
+                increase = cost - current_cost[machine_index]
+                if increase < best_increase - 1e-12:
+                    best_machine = machine_index
+                    best_increase = increase
+                    best_cost = cost
+            if best_machine is None:
+                raise _unplaceable(problem, tenant_index, qos_blocked=bool(fitting))
+            loads[best_machine].append(tenant_index)
+            current_cost[best_machine] = best_cost
+            assignment[tenant_index] = best_machine
+            span.event("commit", tenant=tenant_index, machine=best_machine)
+        span.set_attribute("probes", probes)
     if run_stats is not None:
         run_stats["probes"] = run_stats.get("probes", 0) + probes
     return tuple(assignment)  # type: ignore[arg-type]
@@ -356,26 +278,12 @@ class GreedyCostPlacement:
     heavyweight tenants choose machines while the fleet is still empty,
     which is the standard decreasing-first heuristic from bin packing
     transplanted to a cost objective.
-
-    ``speculate=True`` (registered as ``"greedy-cost-spec"``) pipelines the
-    per-tenant probe rounds across the solver backend — see
-    :func:`greedy_assign` — choosing the *identical* assignment faster on
-    parallel backends.
     """
 
     name = "greedy-cost"
 
-    def __init__(
-        self,
-        sort_by_gain: bool = True,
-        speculate: bool = False,
-        lookahead: int = DEFAULT_LOOKAHEAD,
-    ) -> None:
+    def __init__(self, sort_by_gain: bool = True) -> None:
         self.sort_by_gain = sort_by_gain
-        self.speculate = speculate
-        self.lookahead = lookahead
-        if speculate:
-            self.name = "greedy-cost-spec"
         #: Accounting for the most recent ``place()`` call, surfaced by the
         #: fleet advisor as the report's ``placement_provenance``.
         self.last_search: Optional[PlacementRunStats] = None
@@ -395,8 +303,6 @@ class GreedyCostPlacement:
                 assignment=[None] * problem.n_tenants,
                 loads=[[] for _ in problem.machines],
                 current_cost=[0.0 for _ in problem.machines],
-                speculate=self.speculate,
-                lookahead=self.lookahead,
                 run_stats=run_stats,
             )
         finally:
@@ -405,19 +311,6 @@ class GreedyCostPlacement:
                 probes=run_stats.get("probes", 0),
                 wall_time_seconds=time.perf_counter() - started,
             )
-
-
-def _price_candidates(
-    solver: PlacementSolver, candidates: Sequence[Tuple[int, Tuple[int, ...]]]
-) -> List[float]:
-    """Batch-price candidates, falling back to a machine_cost loop."""
-    batch_costs = getattr(solver, "machine_costs", None)
-    if batch_costs is not None:
-        return batch_costs(candidates)
-    return [
-        solver.machine_cost(machine_index, candidate)
-        for machine_index, candidate in candidates
-    ]
 
 
 def improve_assignment(
@@ -613,8 +506,6 @@ class LocalSearchPlacement:
         self,
         max_rounds: int = 12,
         sort_by_gain: bool = True,
-        speculate: bool = False,
-        lookahead: int = DEFAULT_LOOKAHEAD,
         base: Optional[PlacementStrategy] = None,
     ) -> None:
         if max_rounds < 0:
@@ -623,11 +514,7 @@ class LocalSearchPlacement:
             )
         self.max_rounds = max_rounds
         self.base = (
-            base
-            if base is not None
-            else GreedyCostPlacement(
-                sort_by_gain=sort_by_gain, speculate=speculate, lookahead=lookahead
-            )
+            base if base is not None else GreedyCostPlacement(sort_by_gain=sort_by_gain)
         )
         #: Accounting for the most recent ``place()`` call (construction
         #: and improvement probes combined).
@@ -748,21 +635,9 @@ PLACEMENTS.register(
     lambda sort_by_gain=True, **_ignored: GreedyCostPlacement(sort_by_gain=sort_by_gain),
 )
 PLACEMENTS.register(
-    "greedy-cost-spec",
-    lambda sort_by_gain=True, lookahead=DEFAULT_LOOKAHEAD, **_ignored: (
-        GreedyCostPlacement(
-            sort_by_gain=sort_by_gain, speculate=True, lookahead=lookahead
-        )
-    ),
-)
-PLACEMENTS.register(
     "greedy-cost+ls",
-    lambda max_rounds=12, sort_by_gain=True, speculate=False,
-    lookahead=DEFAULT_LOOKAHEAD, **_ignored: LocalSearchPlacement(
-        max_rounds=max_rounds,
-        sort_by_gain=sort_by_gain,
-        speculate=speculate,
-        lookahead=lookahead,
+    lambda max_rounds=12, sort_by_gain=True, **_ignored: LocalSearchPlacement(
+        max_rounds=max_rounds, sort_by_gain=sort_by_gain
     ),
 )
 PLACEMENTS.register(

@@ -17,7 +17,7 @@ everything that is safe and *profitable* to share lives on the service:
   scenario is answered from the cache with zero new evaluations.
 * one long-lived, thread-safe :class:`~repro.fleet.FleetAdvisor` whose
   inner advisor rides the same cache pool; fleet solves fan out on the
-  service's solver backend (``"asyncio"`` by default, so overlapped
+  service's solver backend (``"thread"`` by default, so overlapped
   what-if RPCs beat a serial solve — see ``docs/parallel.md``).
 
 The service itself is synchronous and thread-safe; the awaitable face is
@@ -113,10 +113,10 @@ class AdvisorService:
 
     Args:
         backend: solver-execution backend fleet solves and replays fan out
-            on — a registered name (``"serial"`` / ``"thread"`` /
-            ``"process"`` / ``"asyncio"``) or an instance.  The default is
-            ``"asyncio"``: served solves overlap their RPC-shaped what-if
-            calls while returning the serial answer bit for bit.
+            on — a registered name (``"serial"`` / ``"thread"``) or an
+            instance.  The default is ``"thread"``: served solves overlap
+            their RPC-shaped what-if calls while returning the serial
+            answer bit for bit, and every request shares its one pool.
         jobs: worker count for a backend given by name.
         placement: default fleet placement strategy.
         advisor_options: defaults for every advisor the service builds
@@ -126,7 +126,7 @@ class AdvisorService:
 
     def __init__(
         self,
-        backend: BackendSpec = "asyncio",
+        backend: BackendSpec = "thread",
         jobs: Optional[int] = None,
         placement: str = "greedy-cost",
         **advisor_options: Any,

@@ -26,8 +26,8 @@ connection) that owns a private event loop on a daemon thread.  Handlers
 connection thread on the result — so the admission bound (the
 :class:`~repro.service.async_api.AsyncAdvisorService` semaphore) is
 enforced in one place regardless of how many connection threads pile up,
-and each admitted solve runs on a worker thread where the service's
-``asyncio`` solver backend is free to open its own per-batch loop.
+and each admitted solve runs on a worker thread that fans its independent
+per-machine solves out on the service's shared ``thread`` solver backend.
 
 Errors map to JSON bodies: malformed documents are ``400 {"error": ...}``
 (:class:`~repro.exceptions.ReproError`, bad JSON), unknown paths ``404``,

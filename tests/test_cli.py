@@ -130,6 +130,20 @@ class TestFleetCommand:
         with pytest.raises(SystemExit):
             main(["fleet", path, "--backend", "gpu"])
 
+    @pytest.mark.parametrize("flag,value", [
+        ("--backend", "asyncio"),
+        ("--backend", "process"),
+        ("--placement", "greedy-cost-spec"),
+    ])
+    def test_removed_choices_are_argparse_errors(self, tmp_path, capsys, flag, value):
+        path = write(tmp_path, "fleet.json", FLEET)
+        with pytest.raises(SystemExit) as excinfo:
+            main(["fleet", path, flag, value])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert "invalid choice" in err and repr(value) in err
+        assert "Traceback" not in err
+
     def test_bnb_placement_reports_search_provenance(self, tmp_path, capsys):
         path = write(tmp_path, "fleet.json", FLEET)
         code, out, err = run(capsys, ["fleet", path, "--placement", "bnb-fleet"])

@@ -23,7 +23,8 @@ import repro
 
 SRC_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
 
-#: Heavy standard-library modules only the serving and process tiers need.
+#: Heavy standard-library modules only the serving tier needs (no tier
+#: needs multiprocessing: every backend runs in-process).
 STDLIB_UPPER = ("asyncio", "http.server", "multiprocessing")
 
 #: The registries, by module and name.
@@ -177,7 +178,7 @@ def test_registry_lists_the_same_names_after_a_lean_import(module, name):
     assert lean == everything
     assert {
         "COST_FUNCTIONS": "what-if-rpc",
-        "BACKENDS": "asyncio",
+        "BACKENDS": "thread",
         "PLACEMENTS": "bnb-fleet",
         "ENUMERATORS": "exhaustive-dp",
         "REFINEMENTS": "generalized",

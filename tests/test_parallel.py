@@ -1,14 +1,17 @@
 """Tests for the parallel solver-execution subsystem (:mod:`repro.parallel`).
 
-Covers the backend registry and the three built-in backends (task
-ordering, exception propagation, portable-task enforcement), the
-determinism contract — the ``thread`` and ``process`` backends produce
+Covers the backend registry and the two built-in backends (task
+ordering, exception propagation, one shared pool under concurrent first
+use), the determinism contract — the ``thread`` backend produces
 bit-identical fleet reports and replay periods to ``serial`` on the
-12-tenant × 4-machine example — backend/jobs provenance in the reports,
-and the simulated-RPC what-if estimator the scaling benchmark builds on.
+12-tenant × 4-machine example and under every placement strategy —
+backend/jobs provenance in the reports, and the simulated-RPC what-if
+estimator the scaling benchmark builds on.
 """
 
-import math
+import threading
+import time
+from concurrent import futures
 
 import pytest
 
@@ -17,23 +20,18 @@ from repro.api.strategies import COST_FUNCTIONS
 from repro.core.enumerator import GreedyConfigurationEnumerator
 from repro.exceptions import ConfigurationError
 from repro.experiments.fleet import build_fleet_problem
-from repro.fleet import FleetAdvisor, FleetProblem, FleetReport
+from repro.fleet import PLACEMENTS, FleetAdvisor, FleetProblem, FleetReport
 from repro.parallel import (
     BACKENDS,
-    AsyncioBackend,
-    ProcessBackend,
     SerialBackend,
     SimulatedRpcWhatIfEstimator,
-    SolveTask,
     ThreadBackend,
     resolve_backend,
 )
 from repro.traces import FleetTraceReplayer, ReplayReport, TraceReplayer
 from repro.traces.generators import diurnal_trace
 
-#: Coarse grid keeps every solve fast; calibration overrides keep worker
-#: processes (which cannot share the parent's calibrations unless forked)
-#: cheap to warm up.
+#: Coarse grid keeps every solve fast, calibration included.
 FAST_FLEET_CALIBRATION = {"cpu_shares": [0.25, 0.5, 0.75, 1.0]}
 
 
@@ -75,13 +73,20 @@ def small_trace_and_fleet(n_tenants=4, n_machines=2, n_periods=3):
 # ----------------------------------------------------------------------
 class TestBackends:
     def test_registry_names(self):
-        assert {"serial", "thread", "process", "asyncio"} <= set(BACKENDS.names())
+        assert sorted(BACKENDS.names()) == ["serial", "thread"]
 
     def test_resolve_by_name_and_default(self):
         assert isinstance(resolve_backend(None), SerialBackend)
         assert isinstance(resolve_backend("thread", jobs=2), ThreadBackend)
         assert resolve_backend("thread", jobs=2).jobs == 2
-        assert isinstance(resolve_backend("process", jobs=1), ProcessBackend)
+
+    @pytest.mark.parametrize("name", ["process", "asyncio"])
+    def test_removed_backend_names_are_rejected(self, name):
+        with pytest.raises(ConfigurationError) as excinfo:
+            resolve_backend(name)
+        message = str(excinfo.value)
+        assert repr(name) in message
+        assert "serial" in message and "thread" in message
 
     def test_resolve_rejects_jobs_with_instance(self):
         with pytest.raises(ConfigurationError):
@@ -113,7 +118,7 @@ class TestBackends:
                 seen.append(i)
                 return i * i
 
-            return SolveTask(call=call)
+            return call
 
         backend = SerialBackend()
         assert backend.run([make(i) for i in range(5)]) == [0, 1, 4, 9, 16]
@@ -121,7 +126,7 @@ class TestBackends:
 
     def test_thread_preserves_task_order(self):
         with ThreadBackend(jobs=4) as backend:
-            tasks = [SolveTask(call=lambda i=i: i * i) for i in range(20)]
+            tasks = [lambda i=i: i * i for i in range(20)]
             assert backend.run(tasks) == [i * i for i in range(20)]
 
     def test_thread_propagates_exceptions(self):
@@ -130,74 +135,45 @@ class TestBackends:
 
         with ThreadBackend(jobs=2) as backend:
             with pytest.raises(ValueError, match="solver exploded"):
-                backend.run([SolveTask(call=boom), SolveTask(call=lambda: 1)])
+                backend.run([boom, lambda: 1])
 
-    def test_process_rejects_inline_only_tasks(self):
-        with ProcessBackend(jobs=1) as backend:
-            with pytest.raises(ConfigurationError, match="non-portable"):
-                backend.run([SolveTask(call=lambda: 1, label="manager-step")])
+    def test_thread_pool_is_built_once_under_concurrent_first_use(
+        self, monkeypatch
+    ):
+        # Request threads of the serving tier share one backend: racing
+        # first runs must build a single pool, the one close() shuts down.
+        built = []
+        real_executor = futures.ThreadPoolExecutor
 
-    def test_process_inline_fallback_is_thread(self):
-        with ProcessBackend(jobs=3) as backend:
-            inline = backend.inline()
-            assert isinstance(inline, ThreadBackend)
-            assert inline.jobs == 3
-            assert inline.run([SolveTask(call=lambda: 7)]) == [7]
+        def counting_executor(*args, **kwargs):
+            time.sleep(0.05)  # widen the check-then-build window
+            built.append(real_executor(*args, **kwargs))
+            return built[-1]
 
-    def test_asyncio_preserves_task_order(self):
-        with AsyncioBackend(jobs=4) as backend:
-            tasks = [SolveTask(call=lambda i=i: i * i) for i in range(20)]
-            assert backend.run(tasks) == [i * i for i in range(20)]
+        monkeypatch.setattr(
+            "repro.parallel.backends.ThreadPoolExecutor", counting_executor
+        )
+        backend = ThreadBackend(jobs=2)
+        n_callers = 6
+        barrier = threading.Barrier(n_callers)
+        results = [None] * n_callers
 
-    def test_asyncio_bounds_concurrency_to_jobs(self):
-        import threading
-        import time
+        def caller(index):
+            barrier.wait()
+            results[index] = backend.run([lambda: index, lambda: -index])
 
-        running, peak = [0], [0]
-        lock = threading.Lock()
-
-        def call():
-            with lock:
-                running[0] += 1
-                peak[0] = max(peak[0], running[0])
-            time.sleep(0.02)
-            with lock:
-                running[0] -= 1
-            return True
-
-        with AsyncioBackend(jobs=2) as backend:
-            assert backend.run([SolveTask(call=call) for _ in range(8)]) == [True] * 8
-        assert peak[0] <= 2
-
-    def test_asyncio_run_async_is_awaitable(self):
-        import asyncio
-
-        async def drive():
-            with AsyncioBackend(jobs=3) as backend:
-                tasks = [SolveTask(call=lambda i=i: i + 1) for i in range(6)]
-                return await backend.run_async(tasks)
-
-        assert asyncio.run(drive()) == [1, 2, 3, 4, 5, 6]
-
-    def test_asyncio_run_refuses_inside_a_running_loop(self):
-        import asyncio
-
-        async def drive():
-            backend = AsyncioBackend(jobs=2)
-            tasks = [SolveTask(call=lambda: 1), SolveTask(call=lambda: 2)]
-            with pytest.raises(ConfigurationError, match="run_async"):
-                backend.run(tasks)
-            return await backend.run_async(tasks)
-
-        assert asyncio.run(drive()) == [1, 2]
-
-    def test_asyncio_propagates_exceptions(self):
-        def boom():
-            raise ValueError("solver exploded")
-
-        with AsyncioBackend(jobs=2) as backend:
-            with pytest.raises(ValueError, match="solver exploded"):
-                backend.run([SolveTask(call=boom), SolveTask(call=lambda: 1)])
+        callers = [
+            threading.Thread(target=caller, args=(index,))
+            for index in range(n_callers)
+        ]
+        for thread in callers:
+            thread.start()
+        for thread in callers:
+            thread.join(timeout=30)
+        backend.close()
+        assert results == [[index, -index] for index in range(n_callers)]
+        assert len(built) == 1
+        assert built[0]._shutdown
 
 
 # ----------------------------------------------------------------------
@@ -224,25 +200,16 @@ class TestFleetDeterminism:
         assert threaded.jobs == 4
         assert threaded.canonical_dict() == serial_report.canonical_dict()
 
-    def test_process_backend_is_bit_identical(self, problem, serial_report):
-        advisor = FleetAdvisor(delta=0.25, backend="process", jobs=2)
+    @pytest.mark.parametrize("strategy", PLACEMENTS.names())
+    def test_every_placement_is_backend_invariant(self, strategy):
+        problem = fast_fleet(n_tenants=5, n_machines=3)
+        serial = FleetAdvisor(delta=0.25).recommend(problem, placement=strategy)
+        advisor = FleetAdvisor(delta=0.25, backend="thread", jobs=4)
         try:
-            report = advisor.recommend(problem)
+            threaded = advisor.recommend(problem, placement=strategy)
         finally:
             advisor.backend.close()
-        assert report.backend == "process"
-        assert report.jobs == 2
-        assert report.canonical_dict() == serial_report.canonical_dict()
-
-    def test_asyncio_backend_is_bit_identical(self, problem, serial_report):
-        advisor = FleetAdvisor(delta=0.25, backend="asyncio", jobs=4)
-        try:
-            report = advisor.recommend(problem)
-        finally:
-            advisor.backend.close()
-        assert report.backend == "asyncio"
-        assert report.jobs == 4
-        assert report.canonical_dict() == serial_report.canonical_dict()
+        assert threaded.canonical_dict() == serial.canonical_dict()
 
     def test_per_call_backend_override(self, problem, serial_report):
         advisor = FleetAdvisor(delta=0.25)
@@ -267,21 +234,9 @@ class TestFleetDeterminism:
         assert rebuilt.canonical_dict() == serial_report.canonical_dict()
         assert rebuilt.backend == serial_report.backend
 
-    def test_process_backend_requires_portable_advisor(self, problem):
-        advisor = FleetAdvisor(
-            advisor=Advisor(enumerator=GreedyConfigurationEnumerator(delta=0.25)),
-            backend="process",
-            jobs=1,
-        )
-        try:
-            with pytest.raises(ConfigurationError, match="thread/serial"):
-                advisor.recommend(problem)
-        finally:
-            advisor.backend.close()
-
     def test_portable_config_rejects_unregistered_cost_function(self):
-        # Advisor validates cost-function names lazily, so a typo would
-        # otherwise only explode inside a worker process.
+        # Advisor validates cost-function names lazily; the solve-memo key
+        # built from this config must not treat a typo as a valid name.
         with pytest.raises(ConfigurationError, match="not a registered"):
             Advisor(cost_function="what-if-typo").portable_config()
 
@@ -292,23 +247,6 @@ class TestFleetDeterminism:
         advisor = FleetAdvisor(delta=0.25, backend=CustomBackend())
         with pytest.raises(ConfigurationError, match="custom backend"):
             advisor.recommend(problem, jobs=8)
-
-    def test_fork_published_state_is_withdrawn_after_the_run(self, problem):
-        from repro.parallel import worker
-
-        advisor = FleetAdvisor(delta=0.25, backend="process", jobs=1)
-        try:
-            advisor.recommend(problem)
-        finally:
-            advisor.backend.close()
-        # The run published its live state for fork inheritance and must
-        # have withdrawn it on completion — otherwise the module-global
-        # table pins the advisor (calibrations, caches) for process life.
-        assert not any(
-            fleet_advisor is advisor
-            for fleet_advisor, _problem in worker._PUBLISHED.values()
-        )
-
 
 class TestReplayDeterminism:
     @pytest.fixture(scope="class")
@@ -326,32 +264,20 @@ class TestReplayDeterminism:
         assert threaded.canonical_dict() == serial.canonical_dict()
         assert threaded.cumulative_actual_cost == serial.cumulative_actual_cost
 
-    def test_fleet_replay_asyncio_matches_serial(self, trace_and_fleet):
+    @pytest.mark.parametrize("strategy", PLACEMENTS.names())
+    def test_fleet_replay_is_backend_invariant_for_every_placement(
+        self, trace_and_fleet, strategy
+    ):
         trace, fleet = trace_and_fleet
-        serial = FleetTraceReplayer(trace, fleet).replay()
-        replayer = FleetTraceReplayer(trace, fleet, backend="asyncio", jobs=2)
+        serial = FleetTraceReplayer(
+            trace, fleet, advisor=FleetAdvisor(placement=strategy)
+        ).replay()
+        advisor = FleetAdvisor(placement=strategy, backend="thread", jobs=2)
         try:
-            report = replayer.replay()
+            threaded = FleetTraceReplayer(trace, fleet, advisor=advisor).replay()
         finally:
-            replayer.backend.close()
-        assert report.backend == "asyncio"
-        assert report.canonical_dict() == serial.canonical_dict()
-
-    def test_fleet_replay_process_steps_use_thread_fallback(self, trace_and_fleet):
-        # Manager steps cannot ship across processes; the process backend's
-        # replay must still produce the serial answer (re-placement solves
-        # go to worker processes, manager steps to the thread fallback).
-        trace, fleet = trace_and_fleet
-        serial = FleetTraceReplayer(trace, fleet).replay()
-        replayer = FleetTraceReplayer(
-            trace, fleet, backend="process", jobs=2
-        )
-        try:
-            report = replayer.replay()
-        finally:
-            replayer.backend.close()
-        assert report.backend == "process"
-        assert report.canonical_dict() == serial.canonical_dict()
+            advisor.backend.close()
+        assert threaded.canonical_dict() == serial.canonical_dict()
 
     def test_single_machine_static_replay_fans_out(self, trace_and_fleet):
         trace, _fleet = trace_and_fleet
@@ -405,12 +331,3 @@ class TestSimulatedRpc:
             SimulatedRpcWhatIfEstimator.cache_namespace
             == WhatIfCostEstimator.__name__
         )
-
-    def test_infinite_probe_reassembles_to_inf(self):
-        # The probe path maps worker-side infeasibility to +inf exactly as
-        # the in-process machine_cost contract does.
-        from repro.fleet.advisor import _FleetSolver
-
-        problem = fast_fleet(n_tenants=2, n_machines=1)
-        solver = _FleetSolver(FleetAdvisor(delta=0.25), problem)
-        assert solver._reassemble_probe({"weighted": None, "stats": None}) == math.inf

@@ -1,14 +1,11 @@
-"""Tests for the placement fast path (solve-memo, speculation, local search).
+"""Tests for the placement fast path (solve-memo, run table, local search).
 
 Covers the fleet solve-memo (:mod:`repro.fleet.solve_memo`) as a unit and
 wired into :class:`~repro.fleet.FleetAdvisor` (zero new DP searches on a
 warm re-solve, ``placement_solve_hits`` accounting, infeasibility caching,
 ``clear_caches``), the ``placement_solve_hits`` round-trip through
-:class:`~repro.api.report.CostCallStats`, the submit/handle layer of the
-solver backends (laziness of the serial handle — discarded speculative
-probes never run), speculative pipelined probing's bit-identical-answer
-contract across backends, the ``greedy_assign`` fallback for custom
-solvers without ``machine_costs``, and the local-search improver and
+:class:`~repro.api.report.CostCallStats`, the ``greedy_assign`` fallback
+for custom solvers without ``machine_costs``, and the local-search improver and
 exhaustive baseline — including the measured greedy-vs-exact optimality
 gap that ``greedy-cost+ls`` must close — and the per-run price table's
 accounting: table hits fold into every counter exactly as memo hits would,
@@ -19,7 +16,7 @@ import math
 import random
 import sys
 import threading
-from concurrent.futures import Future, ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -39,13 +36,7 @@ from repro.fleet import (
 )
 from repro.fleet.advisor import _FleetSolver
 from repro.fleet.solve_memo import Infeasible
-from repro.parallel.backends import (
-    FutureTaskHandle,
-    SerialBackend,
-    SolveTask,
-    TaskHandle,
-    ThreadBackend,
-)
+from repro.parallel.backends import SerialBackend
 from repro.telemetry.instruments import (
     MEMO_HITS,
     MEMO_MISSES,
@@ -282,69 +273,6 @@ class TestPlacementSolveHitsStats:
 
 
 # ----------------------------------------------------------------------
-# The submit/handle layer of the solver backends
-# ----------------------------------------------------------------------
-class TestTaskHandles:
-    def test_serial_submit_is_lazy_and_caches(self):
-        calls = []
-        task = SolveTask(call=lambda: calls.append(1) or 42)
-        handle = SerialBackend().submit(task)
-        assert calls == []  # nothing ran at submit time
-        assert handle.result() == 42
-        assert handle.result() == 42
-        assert calls == [1]  # ... and result() ran it exactly once
-
-    def test_thread_submit_executes_and_delivers(self):
-        backend = ThreadBackend(jobs=2)
-        try:
-            handle = backend.submit(SolveTask(call=lambda: 7))
-            assert handle.result() == 7
-        finally:
-            backend.close()
-
-    def test_future_handle_applies_reassemble_once(self):
-        future = Future()
-        future.set_result({"raw": 3})
-        seen = []
-        handle = FutureTaskHandle(
-            future, reassemble=lambda raw: seen.append(raw) or raw["raw"] * 2
-        )
-        assert handle.result() == 6
-        assert handle.result() == 6
-        assert seen == [{"raw": 3}]
-
-    def test_discard_cancels_a_queued_task_and_waits_for_a_running_one(self):
-        backend = ThreadBackend(jobs=1)
-        started, release = threading.Event(), threading.Event()
-        finished = []
-
-        def running():
-            started.set()
-            release.wait()
-            finished.append("running")
-
-        try:
-            first = backend.submit(SolveTask(call=running))
-            queued = backend.submit(SolveTask(call=lambda: finished.append("queued")))
-            assert started.wait(5)
-            queued.discard()  # the single worker is busy: never started
-            timer = threading.Timer(0.05, release.set)
-            timer.start()
-            first.discard()  # must not return while the task still runs
-            assert finished == ["running"]
-            timer.join(timeout=5)
-        finally:
-            backend.close()
-        assert finished == ["running"]
-
-    def test_discarding_a_lazy_handle_never_runs_it(self):
-        calls = []
-        handle = SerialBackend().submit(SolveTask(call=lambda: calls.append(1)))
-        handle.discard()
-        assert calls == []
-
-
-# ----------------------------------------------------------------------
 # Solve-memo wired into the fleet advisor
 # ----------------------------------------------------------------------
 class TestAdvisorSolveMemo:
@@ -430,7 +358,7 @@ class TestRunTableAccounting:
 
     @pytest.mark.parametrize("backend", ["serial", "thread"])
     @pytest.mark.parametrize(
-        "strategy", ["bnb-fleet", "greedy-cost+ls", "greedy-cost-spec"]
+        "strategy", ["bnb-fleet", "greedy-cost+ls", "greedy-cost"]
     )
     def test_cold_and_warm_counters_agree(self, strategy, backend):
         problem = small_fleet(n_tenants=7, n_machines=3)
@@ -510,17 +438,6 @@ class TestRunTableAccounting:
         solver.release()
         assert advisor.solve_memo.hits - hits_before == 3
 
-    def test_table_hit_probe_handle_is_already_resolved(self):
-        problem = small_fleet(n_tenants=4, n_machines=2)
-        advisor = FleetAdvisor(delta=0.25)
-        solver = _FleetSolver(advisor, problem, SerialBackend())
-        first = solver.submit_probe(0, (0, 2))
-        assert solver.table_hits == 0
-        cost = first.result()
-        again = solver.submit_probe(1, (0, 2))
-        assert solver.table_hits == 1
-        assert again.result() == cost == solver.machine_cost(0, (0, 2))
-
     def test_infeasible_table_hits_fold_no_solve_hits(self):
         problem = small_fleet(n_tenants=4, n_machines=2)
         advisor = FleetAdvisor(delta=0.25)
@@ -540,76 +457,8 @@ class TestRunTableAccounting:
 
 
 # ----------------------------------------------------------------------
-# Speculative pipelined probing
+# Custom solvers with only the required protocol surface
 # ----------------------------------------------------------------------
-class _CountingProbeSolver:
-    """Wraps a real solver; counts submitted vs actually executed probes."""
-
-    def __init__(self, inner):
-        self.inner = inner
-        self.submitted = 0
-        self.executed = 0
-
-    def fits(self, machine_index, tenant_indices):
-        return self.inner.fits(machine_index, tenant_indices)
-
-    def machine_cost(self, machine_index, tenant_indices):
-        return self.inner.machine_cost(machine_index, tenant_indices)
-
-    def submit_probe(self, machine_index, tenant_indices):
-        self.submitted += 1
-
-        def call():
-            self.executed += 1
-            return self.inner.machine_cost(machine_index, tenant_indices)
-
-        return TaskHandle(call)
-
-
-class _RecordingHandle:
-    """A probe handle that records whether it was collected or discarded."""
-
-    def __init__(self, key, cost, fates, fail=False):
-        self.key = key
-        self.cost = cost
-        self.fates = fates
-        self.fail = fail
-
-    def result(self):
-        self.fates.append(("collected", self.key))
-        if self.fail:
-            raise OptimizationError(f"probe {self.key} failed")
-        return self.cost
-
-    def discard(self):
-        self.fates.append(("discarded", self.key))
-
-
-class _RecordingProbeSolver:
-    """Prices a machine by its tenant count; records every handle's fate."""
-
-    def __init__(self, fail_key=None):
-        self.fail_key = fail_key
-        self.submitted = []
-        self.fates = []
-
-    def fits(self, machine_index, tenant_indices):
-        return len(tenant_indices) <= 3
-
-    def machine_cost(self, machine_index, tenant_indices):
-        return float(len(tenant_indices) ** 2 + machine_index)
-
-    def submit_probe(self, machine_index, tenant_indices):
-        key = (machine_index, tenant_indices)
-        self.submitted.append(key)
-        return _RecordingHandle(
-            key,
-            self.machine_cost(machine_index, tenant_indices),
-            self.fates,
-            fail=key == self.fail_key,
-        )
-
-
 class _MinimalSolver:
     """A custom PlacementSolver with only the required protocol surface."""
 
@@ -623,89 +472,7 @@ class _MinimalSolver:
         return self.inner.machine_cost(machine_index, tenant_indices)
 
 
-class TestSpeculativeProbing:
-    def test_discarded_speculative_probes_never_execute(self, shared_advisor):
-        problem = small_fleet()
-        shared_advisor.recommend(problem)  # warm calibrations and memo
-        solver = _CountingProbeSolver(
-            _FleetSolver(shared_advisor, problem, SerialBackend())
-        )
-        placement = GreedyCostPlacement(speculate=True)
-        assignment = placement.place(problem, solver)
-        reference = GreedyCostPlacement().place(
-            problem, _FleetSolver(shared_advisor, problem, SerialBackend())
-        )
-        assert assignment == reference
-        # Speculation over-submits by design; the lazy serial handle means
-        # only the probes the selection actually consumed ever ran.
-        assert solver.submitted > solver.executed
-        assert solver.executed > 0
-
-    def test_every_speculative_probe_is_collected_or_discarded(self):
-        problem = small_fleet(n_tenants=5, n_machines=3)
-        solver = _RecordingProbeSolver()
-        GreedyCostPlacement(speculate=True).place(problem, solver)
-        fates = dict((key, fate) for fate, key in solver.fates)
-        assert len(solver.fates) == len(fates)  # no handle met two fates
-        assert sorted(fates) == sorted(solver.submitted)
-        assert "discarded" in fates.values()  # speculation over-submitted
-        assert "collected" in fates.values()
-
-    def test_leftover_probes_are_discarded_when_placement_raises(self):
-        problem = small_fleet(n_tenants=5, n_machines=3)
-        reference = _RecordingProbeSolver()
-        GreedyCostPlacement(speculate=True).place(problem, reference)
-        collected = [key for fate, key in reference.fates if fate == "collected"]
-        # Fail a mid-run collection while later rounds are in flight.
-        solver = _RecordingProbeSolver(fail_key=collected[len(collected) // 2])
-        with pytest.raises(OptimizationError):
-            GreedyCostPlacement(speculate=True).place(problem, solver)
-        fates = dict((key, fate) for fate, key in solver.fates)
-        assert len(solver.fates) == len(fates)
-        assert sorted(fates) == sorted(solver.submitted)
-        assert "discarded" in fates.values()
-
-    def test_spec_name_and_registry(self):
-        assert GreedyCostPlacement(speculate=True).name == "greedy-cost-spec"
-        assert PLACEMENTS.create("greedy-cost-spec").speculate is True
-
-    @pytest.mark.parametrize("backend,jobs", [
-        ("thread", 4), ("asyncio", 4),
-    ])
-    def test_speculation_is_bit_identical_across_backends(
-        self, shared_advisor, backend, jobs
-    ):
-        problem = small_fleet()
-        serial_spec = shared_advisor.recommend(
-            problem, placement="greedy-cost-spec", backend="serial"
-        )
-        spec = shared_advisor.recommend(
-            problem, placement="greedy-cost-spec", backend=backend, jobs=jobs
-        )
-        assert spec.canonical_dict() == serial_spec.canonical_dict()
-
-    def test_speculation_chooses_the_greedy_answer(self, shared_advisor):
-        # Extra speculative probes never change the selection — only the
-        # provenance label differs from plain greedy-cost.
-        problem = small_fleet()
-        greedy = shared_advisor.recommend(problem, placement="greedy-cost")
-        spec = shared_advisor.recommend(problem, placement="greedy-cost-spec")
-        assert spec.placement == greedy.placement
-        assert spec.total_weighted_cost == greedy.total_weighted_cost
-        assert spec.strategy == "greedy-cost-spec"
-
-    def test_speculation_is_bit_identical_on_process_backend(self):
-        problem = small_fleet(n_tenants=3, n_machines=2)
-        advisor = FleetAdvisor(delta=0.25, backend="process", jobs=2)
-        try:
-            serial_spec = FleetAdvisor(delta=0.25).recommend(
-                problem, placement="greedy-cost-spec"
-            )
-            spec = advisor.recommend(problem, placement="greedy-cost-spec")
-            assert spec.canonical_dict() == serial_spec.canonical_dict()
-        finally:
-            advisor.backend.close()
-
+class TestMinimalSolver:
     def test_fallback_without_machine_costs_matches_full_solver(
         self, shared_advisor
     ):
@@ -798,8 +565,9 @@ class TestLocalSearch:
 
     def test_registry_names_include_the_fast_path(self):
         names = PLACEMENTS.names()
-        for name in ("greedy-cost-spec", "greedy-cost+ls", "exhaustive-fleet"):
+        for name in ("greedy-cost+ls", "exhaustive-fleet"):
             assert name in names
+        assert "greedy-cost-spec" not in names
 
 
 # ----------------------------------------------------------------------

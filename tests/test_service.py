@@ -510,6 +510,24 @@ class TestHTTPServer:
         assert served_count(server, path, 400) == before + 1
         assert served_count(server, path, 500) == errors
 
+    @pytest.mark.parametrize("path,section,options", [
+        ("/recommend", "advisor", {"delta": "x"}),
+        ("/recommend", "advisor", {"min_share": [1]}),
+        ("/recommend", "machine", {"memory_mb": "x"}),
+        ("/recommend", "calibration", {"cpu_shares": "x"}),
+        ("/fleet", "calibration", {"cpu_shares": "x"}),
+        ("/fleet", "calibration", {"io_cpu_share": [0.5]}),
+    ])
+    def test_wrong_typed_option_value_is_400(self, server, path, section, options):
+        errors = served_count(server, path, 500)
+        document = dict(SCENARIO if path == "/recommend" else FLEET)
+        document[section] = options
+        code, body = error_of(lambda: post(server, path, document))
+        assert code == 400
+        (key,) = options
+        assert section in body["error"] and repr(key) in body["error"]
+        assert served_count(server, path, 500) == errors
+
     def test_empty_body_is_400(self, server):
         request = urllib.request.Request(server.url + "/recommend", data=b"")
         code, body = error_of(lambda: urllib.request.urlopen(request, timeout=30))
